@@ -204,7 +204,6 @@ func (um *UnitManager) requeueWaiter(u *Unit) {
 		um.setAcct(u, acctHeld, nil)
 		um.recordHold(u, unresolved)
 		u.advance(UnitPendingInput)
-		um.bumpGen()
 	default:
 		u.advance(UnitSchedulingUM)
 		um.enqueueUnit(u, false)

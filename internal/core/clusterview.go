@@ -8,24 +8,22 @@ import (
 )
 
 // ClusterView is the one coherent picture of the cluster every placement
-// decision consumes — the placement fabric. Before it existed, the three
-// decision layers each rebuilt a partial view of their own: the
-// Unit-Manager's demand() counted cores but not bytes, autoscale
-// policies could not see data stores, and the data manager could not see
-// queue pressure. A ClusterView spans all of it: per-pilot capacity,
-// waiting and running cores, the attached data store's occupancy, and
-// the input bytes parked behind the manager's waiting units.
+// decision consumes — the placement fabric: unit schedulers, autoscale
+// policies and the data co-scheduling signals all read it. It spans
+// per-pilot capacity, waiting and running cores, the attached data
+// store's occupancy, and the input bytes parked behind the manager's
+// waiting units.
 //
-// Views are assembled by UnitManager.ClusterView in one place. The
-// expensive part — walking every in-flight unit to split waiting from
-// running demand — is memoized behind the manager's scheduling-event
-// generation counter, so back-to-back reads (an autoscaler tick firing
-// right after a bind pass) reuse the counts; the cheap, live-changing
-// probes (pilot state, capacity, data-store bytes) are refreshed on
-// every call. A view is valid until the next scheduling event; consumers
-// read it synchronously and re-request rather than retain it.
+// Each UnitManager keeps exactly one view, live: its unit counts are
+// updated in place on every unit transition, so they are current at any
+// instant, mid-pass included, and no read walks the in-flight units.
+// The probes that change outside the manager's event stream (pilot
+// state and capacity, data-store bytes, pending input bytes, cache
+// counters) are refreshed on every UnitManager.ClusterView call, which
+// returns the manager's own view. Consumers read it synchronously and
+// call ClusterView again rather than retain it.
 type ClusterView struct {
-	// Now is the virtual time the view was (re)read.
+	// Now is the virtual time of the last ClusterView call.
 	Now sim.Duration
 	// Pilots holds one view per registered pilot, in registration order,
 	// including pilots that have reached a final state (their State says
@@ -149,111 +147,87 @@ func (v *ClusterView) HottestDataPilot() *PilotView {
 	return best
 }
 
-// bumpGen invalidates the memoized view; it runs on every scheduling
-// event (kick, submission, pilot added) and on every unit state change.
-func (um *UnitManager) bumpGen() { um.gen++ }
-
-// ClusterView assembles (or, when no scheduling event happened since
-// the last call, reuses) the manager's cluster snapshot and refreshes
-// its live probes. The unit-walk is the bind-hot-path cost
-// BenchmarkClusterView guards.
+// ClusterView refreshes the live probes of the manager's view and
+// returns it. The refresh is O(pilots) plus, when a pilot has an
+// attached data store, one walk over the waiting units' inputs;
+// BenchmarkClusterView guards it.
 func (um *UnitManager) ClusterView() *ClusterView {
-	v := um.ensureView()
-	um.refreshView(v)
-	return v
+	um.refreshView()
+	return &um.view
 }
 
-// ensureView returns the memoized counting pass, rebuilding it only when
-// the generation counter moved — the fix for demand() recounting every
-// in-flight unit on autoscaler ticks where nothing changed.
-func (um *UnitManager) ensureView() *ClusterView {
-	if um.view == nil || um.viewGen != um.gen {
-		um.view = um.buildView()
-		um.viewGen = um.gen
-	}
-	return um.view
-}
-
-// buildView copies the manager's running sums into a view — O(pilots),
-// no unit walk. The sums are maintained as deltas by setAcct (and the
-// park index's aggregates) on every unit transition; debugViewAudit
-// re-derives them by full walk and cross-checks.
-func (um *UnitManager) buildView() *ClusterView {
-	v := &ClusterView{byPilot: make(map[*Pilot]*PilotView, len(um.pilots))}
-	for _, pl := range um.pilots {
-		pv := &PilotView{Pilot: pl}
-		if ld := um.load[pl]; ld != nil {
-			pv.InFlightUnits, pv.InFlightCores = ld.units, ld.cores
-			pv.DoneUnits, pv.FailedUnits = ld.done, ld.failed
-			pv.WaitingUnits, pv.WaitingCores = ld.waitingUnits, ld.waitingCores
-			pv.RunningUnits, pv.RunningCores = ld.runningUnits, ld.runningCores
-		}
-		v.Pilots = append(v.Pilots, pv)
-		v.byPilot[pl] = pv
-	}
-	v.WaitingUnits = um.park.units + um.park.asideUnits - um.hiddenUnits + um.boundWaitingUnits
-	v.WaitingCores = um.park.cores + um.park.asideCores - um.hiddenCores + um.boundWaitingCores
-	v.RunningUnits, v.RunningCores = um.runningUnits, um.runningCores
-	v.HeldUnits, v.HeldCores = um.heldUnits, um.heldCores
-	if debugViewAudit {
-		um.auditView(v)
-	}
-	return v
-}
-
-// debugViewAudit turns on the full-walk cross-check of the incremental
-// accounting inside buildView. Tests flip it; production reads stay
+// debugViewAudit turns on the full-walk cross-check of the view's
+// counts on every refresh. Tests flip it; production reads stay
 // O(pilots).
 var debugViewAudit = false
 
-// auditView re-derives the view's counts the pre-incremental way — a
-// full walk over the park index, the held map and the charged map — and
-// panics on any mismatch with the running sums.
-func (um *UnitManager) auditView(v *ClusterView) {
-	var waitU, waitC, runU, runC, heldU, heldC int
+// auditView re-derives the view's counts by a full walk over the park
+// index, the held map and the charged map, and panics on any mismatch,
+// manager-wide or per pilot. The walk reads each unit's phase from its
+// state, never from its acct field. A unit popped from the park index is
+// outside every walk while the policy's Pick runs; no policy under test
+// blocks there, so no view is read in that window.
+func (um *UnitManager) auditView() {
+	walk := ClusterView{byPilot: make(map[*Pilot]*PilotView, len(um.view.Pilots))}
+	for _, pv := range um.view.Pilots {
+		walk.byPilot[pv.Pilot] = &PilotView{}
+	}
 	um.park.forEachUnit(func(u *Unit) {
-		if um.hiding && u.parkSeq < um.hideBoundary {
-			return // in the running pass's batch: hidden, like the old detach
+		if !u.State().Final() { // a stale entry is dropped when popped
+			walk.count(acctParked, nil, 1, u.Desc.Cores)
 		}
-		waitU++
-		waitC += u.Desc.Cores
 	})
 	for u := range um.held {
-		if u.State() != UnitPendingInput {
-			continue
+		if u.State() == UnitPendingInput {
+			walk.count(acctHeld, nil, 1, u.Desc.Cores)
 		}
-		heldU++
-		heldC += u.Desc.Cores
 	}
-	for u := range um.charged {
+	for u, pl := range um.charged {
+		pv := walk.byPilot[pl]
+		pv.InFlightUnits++
+		pv.InFlightCores += u.Desc.Cores
 		switch st := u.State(); {
 		case st.Final():
 		case st < UnitExecuting:
-			waitU++
-			waitC += u.Desc.Cores
+			walk.count(acctBoundWaiting, pl, 1, u.Desc.Cores)
 		default:
-			runU++
-			runC += u.Desc.Cores
+			walk.count(acctRunning, pl, 1, u.Desc.Cores)
 		}
 	}
-	if waitU != v.WaitingUnits || waitC != v.WaitingCores ||
-		runU != v.RunningUnits || runC != v.RunningCores ||
-		heldU != v.HeldUnits || heldC != v.HeldCores {
-		panic(fmt.Sprintf("core: incremental view drift: walk says waiting %d/%d running %d/%d held %d/%d, sums say %d/%d %d/%d %d/%d",
-			waitU, waitC, runU, runC, heldU, heldC,
-			v.WaitingUnits, v.WaitingCores, v.RunningUnits, v.RunningCores, v.HeldUnits, v.HeldCores))
+	if got, want := um.view.counts(), walk.counts(); got != want {
+		panic(fmt.Sprintf("core: view drift: walk says %v, view says %v", want, got))
 	}
+	for _, pv := range um.view.Pilots {
+		if got, want := pv.counts(), walk.byPilot[pv.Pilot].counts(); got != want {
+			panic(fmt.Sprintf("core: view drift on pilot %s: walk says %v, view says %v", pv.Pilot.ID, want, got))
+		}
+	}
+}
+
+// counts lists the manager-wide counts auditView checks: waiting,
+// running and held units and cores.
+func (v *ClusterView) counts() [6]int {
+	return [6]int{v.WaitingUnits, v.WaitingCores, v.RunningUnits, v.RunningCores, v.HeldUnits, v.HeldCores}
+}
+
+// counts lists the per-pilot counts auditView checks: in-flight, waiting
+// and running units and cores.
+func (pv *PilotView) counts() [6]int {
+	return [6]int{pv.InFlightUnits, pv.InFlightCores, pv.WaitingUnits, pv.WaitingCores, pv.RunningUnits, pv.RunningCores}
 }
 
 // refreshProbes re-reads the cheap per-pilot live probes — pilot state
 // and capacity, YARN metrics, attached stores — and reports whether any
 // pilot has a live attached store. These change outside the manager's
-// event stream (a resize completing, a replica staging), so every
-// consumer re-probes rather than trusting the memoized view; the bind
-// loop calls this before each offer.
-func (um *UnitManager) refreshProbes(v *ClusterView) bool {
+// event stream (a resize completing, a replica staging), so every read
+// re-probes; the bind loop calls this before each offer. Under
+// debugViewAudit it first cross-checks the view's counts.
+func (um *UnitManager) refreshProbes() bool {
+	if debugViewAudit {
+		um.auditView()
+	}
 	anyData := false
-	for _, pv := range v.Pilots {
+	for _, pv := range um.view.Pilots {
 		pl := pv.Pilot
 		pv.State = pl.State()
 		pv.Nodes = pl.Capacity()
@@ -282,15 +256,15 @@ func (um *UnitManager) refreshProbes(v *ClusterView) bool {
 
 // refreshView is the full refresh behind the public ClusterView: the
 // per-pilot probes plus the per-pilot pending input bytes, re-walked
-// over the current waiting units (parked — minus a running pass's
-// hidden batch — and bound-but-not-executing).
-func (um *UnitManager) refreshView(v *ClusterView) {
+// over the current waiting units (parked and bound-but-not-executing).
+func (um *UnitManager) refreshView() {
+	v := &um.view
 	v.Now = um.session.eng.Now()
 	v.Cache = CacheSnapshot{}
 	if um.rc != nil {
 		v.Cache = CacheSnapshot{Enabled: true, Stats: um.rc.Stats()}
 	}
-	if !um.refreshProbes(v) {
+	if !um.refreshProbes() {
 		return // no attached stores: every PendingInputBytes is trivially 0
 	}
 	addInputs := func(u *Unit) {
@@ -306,10 +280,9 @@ func (um *UnitManager) refreshView(v *ClusterView) {
 		}
 	}
 	um.park.forEachUnit(func(u *Unit) {
-		if um.hiding && u.parkSeq < um.hideBoundary {
-			return
+		if u.acct == acctParked {
+			addInputs(u)
 		}
-		addInputs(u)
 	})
 	for u := range um.charged {
 		if u.acct == acctBoundWaiting {

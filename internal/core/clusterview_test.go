@@ -113,56 +113,61 @@ func TestClusterViewCountsAndDataBytes(t *testing.T) {
 	e.eng.Close()
 }
 
-// TestClusterViewMemoizedOnGeneration pins the demand() satellite fix:
-// with no scheduling event in between, repeated reads reuse the counting
-// pass; any unit state change or scheduling event invalidates it.
-func TestClusterViewMemoizedOnGeneration(t *testing.T) {
+// TestClusterViewCountsBacklogMidPass: an observer reading the view
+// while a scheduling pass is blocked on a coordination-store round trip
+// sees every submitted, not-yet-executing unit as waiting — the units
+// the pass has yet to offer included.
+func TestClusterViewCountsBacklogMidPass(t *testing.T) {
 	e := newEnv(t, 2, fastProfile())
+	var um *UnitManager
+	submitted, midPass, canceled := 0, 0, false
 	e.eng.Spawn("driver", func(p *sim.Proc) {
+		// The pilot stays queued in the batch system throughout, so units
+		// bind (round-robin binds to any live pilot) but none executes.
 		pl := submitPilot(t, p, e, PilotDescription{
 			Resource: "tm", Nodes: 1, Runtime: time.Hour, Mode: ModeHPC,
 		})
-		um := newUM(t, e.session, WithScheduler(SchedulerBackfill))
+		um = newUM(t, e.session)
 		um.AddPilot(pl)
-		units, err := um.Submit(p, []ComputeUnitDescription{{
-			Body: func(bp *sim.Proc, ctx *UnitContext) { bp.Sleep(time.Minute) },
-		}})
-		if err != nil {
+		um.observe(func() {
+			if !um.passing || canceled {
+				return // canceling the pilot fails the units
+			}
+			midPass++
+			v := um.ClusterView()
+			if v.WaitingUnits != submitted || v.RunningUnits != 0 {
+				t.Errorf("mid-pass view: waiting %d, running %d; want %d, 0",
+					v.WaitingUnits, v.RunningUnits, submitted)
+			}
+		})
+		e.eng.Spawn("late-submitter", func(p *sim.Proc) {
+			// Arrives while the driver's pass pushes its first bind.
+			p.Sleep(time.Nanosecond)
+			submitted += 4
+			if _, err := um.Submit(p, make([]ComputeUnitDescription, 4)); err != nil {
+				t.Error(err)
+			}
+		})
+		submitted += 8
+		if _, err := um.Submit(p, make([]ComputeUnitDescription, 8)); err != nil {
 			t.Error(err)
-			return
 		}
-		v1 := um.ensureView()
-		v2 := um.ensureView()
-		if v1 != v2 {
-			t.Error("back-to-back views without a scheduling event were rebuilt")
+		if v := um.ClusterView(); v.WaitingUnits != submitted {
+			t.Errorf("after the pass: waiting %d, want %d", v.WaitingUnits, submitted)
 		}
-		w1, _, _, _ := um.demand()
-		w2, _, _, _ := um.demand()
-		if w1 != w2 || um.ensureView() != v1 {
-			t.Error("demand() invalidated the memoized view without an event")
-		}
-		// A state change (the unit starting to execute) must invalidate.
-		pl.WaitState(p, PilotActive)
-		units[0].watch.Await(p, units[0].State(), func(s UnitState) bool { return s >= UnitExecuting })
-		v3 := um.ensureView()
-		if v3 == v1 {
-			t.Error("view not rebuilt after a unit state change")
-		}
-		if v3.RunningUnits != 1 || v3.WaitingUnits != 0 {
-			t.Errorf("rebuilt view: running %d, waiting %d; want 1, 0", v3.RunningUnits, v3.WaitingUnits)
-		}
-		um.WaitAll(p, units)
+		canceled = true
 		pl.Cancel()
 	})
 	e.eng.Run()
 	e.eng.Close()
+	if midPass == 0 {
+		t.Fatal("observer never ran while a pass was in flight")
+	}
 }
 
-// BenchmarkClusterView guards the snapshot-assembly cost on the bind hot
-// path: every offer builds candidates from a ClusterView, so its rebuild
-// (forced here by bumping the generation) plus the live-probe refresh
-// must stay cheap — and, since the incremental-accounting rework, flat in
-// the in-flight unit count — as the load grows.
+// BenchmarkClusterView guards the cost of a ClusterView read: the
+// live-probe refresh must stay cheap — and flat in the in-flight unit
+// count — as the load grows.
 func BenchmarkClusterView(b *testing.B) {
 	for _, inflight := range []int{16, 256} {
 		b.Run(fmt.Sprintf("%dunits", inflight), func(b *testing.B) {
@@ -181,8 +186,9 @@ func BenchmarkClusterView(b *testing.B) {
 				pilots[i] = &Pilot{ID: fmt.Sprintf("bench.%d", i), session: s,
 					watch:      sim.NewNotifier[PilotState](eng),
 					Timestamps: make(map[PilotState]sim.Duration)}
-				um.pilots = append(um.pilots, pilots[i])
-				um.load[pilots[i]] = &pilotLoad{}
+				if err := um.AddPilot(pilots[i]); err != nil {
+					b.Fatal(err)
+				}
 			}
 			for i := 0; i < inflight; i++ {
 				u := &Unit{ID: fmt.Sprintf("u.%d", i), session: s,
@@ -192,14 +198,13 @@ func BenchmarkClusterView(b *testing.B) {
 					Timestamps: make(map[UnitState]sim.Duration)}
 				pl := pilots[i%len(pilots)]
 				um.charged[u] = pl
-				ld := um.load[pl]
-				ld.units++
-				ld.cores += u.Desc.Cores
+				pv := um.view.For(pl)
+				pv.InFlightUnits++
+				pv.InFlightCores += u.Desc.Cores
 				um.setAcct(u, acctBoundWaiting, pl)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				um.bumpGen() // force the rebuild, not the memoized hit
 				v := um.ClusterView()
 				if v.WaitingUnits != inflight {
 					b.Fatalf("view counted %d waiting units, want %d", v.WaitingUnits, inflight)

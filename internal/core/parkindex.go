@@ -18,9 +18,9 @@ package core
 // The aside list carries entries popped during the current pass that
 // must not be re-offered within it (units the policy re-parked, units
 // inserted mid-pass, capacity-skipped units that outranked an offer);
-// flushAside returns them to the heaps between passes. Aggregate
-// unit/core counts over heaps and aside feed the incremental
-// ClusterView.
+// flushAside returns them to the heaps between passes. Entries of units
+// that reached a final state while parked stay until their pop drops
+// them.
 type parkIndex struct {
 	// nextSeq stamps insertion order; entries with seq below a pass's
 	// boundary belong to that pass's batch.
@@ -28,13 +28,6 @@ type parkIndex struct {
 	must    parkHeap
 	classes map[int]*parkHeap
 	aside   []parkEntry
-
-	// units/cores aggregate the heap entries; asideUnits/asideCores the
-	// aside list. Stale entries (units that reached a final state while
-	// parked) stay counted until their pop drops them — exactly the
-	// visibility the old pending slice had.
-	units, cores           int
-	asideUnits, asideCores int
 }
 
 // parkEntry is one parked unit. gated records which tier it belongs to.
@@ -46,12 +39,10 @@ type parkEntry struct {
 	gated bool
 }
 
-// stamp assigns the next insertion seq to e and records it on the unit
-// (the hidden-batch check in view refreshes reads it back).
+// stamp assigns the next insertion seq to e.
 func (x *parkIndex) stamp(e *parkEntry) {
 	e.seq = x.nextSeq
 	x.nextSeq++
-	e.u.parkSeq = e.seq
 }
 
 // push inserts a freshly stamped entry for u into its tier's heap.
@@ -76,8 +67,6 @@ func (x *parkIndex) insert(e parkEntry) {
 		}
 		h.push(e)
 	}
-	x.units++
-	x.cores += e.cores
 }
 
 // anyOfferable reports whether a pass could still offer something: a
@@ -117,19 +106,13 @@ func (x *parkIndex) popBest() (parkEntry, bool) {
 	if bestHeap == nil {
 		return parkEntry{}, false
 	}
-	e := bestHeap.pop()
-	x.units--
-	x.cores -= e.cores
-	return e, true
+	return bestHeap.pop(), true
 }
 
 // setAside holds a popped entry out of the heaps until flushAside — it
-// keeps its stamp, stays visible in the waiting counts, and cannot be
-// re-offered within the current pass.
+// keeps its stamp and cannot be re-offered within the current pass.
 func (x *parkIndex) setAside(e parkEntry) {
 	x.aside = append(x.aside, e)
-	x.asideUnits++
-	x.asideCores += e.cores
 }
 
 // flushAside returns every aside entry to the heaps, between passes.
@@ -138,7 +121,6 @@ func (x *parkIndex) flushAside() {
 		x.insert(e)
 	}
 	x.aside = x.aside[:0]
-	x.asideUnits, x.asideCores = 0, 0
 }
 
 // forEachUnit visits every parked unit (heaps and aside) in no

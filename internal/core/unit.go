@@ -31,13 +31,9 @@ type Unit struct {
 	// acct is the ClusterView bucket the unit currently occupies and
 	// acctPilot the pilot that bucket is attributed to (bound units
 	// only); the manager maintains both through setAcct so views are
-	// running sums instead of per-read walks. parkSeq is the unit's
-	// current park-index stamp — entries below a pass's batch boundary
-	// are hidden from views while the pass runs, exactly like the old
-	// detached batch slice was.
+	// running sums instead of per-read walks.
 	acct      acctPhase
 	acctPilot *Pilot
-	parkSeq   uint64
 }
 
 // acctPhase names the ClusterView bucket a unit occupies; see setAcct.
@@ -48,9 +44,8 @@ const (
 	// after a final state, or invisible by design (cache-coalesced
 	// waiters in UnitPendingResult).
 	acctNone acctPhase = iota
-	// acctParked: in the park index awaiting (re)binding. The index's
-	// own aggregates carry the counts; the phase only records
-	// membership.
+	// acctParked: in the park index awaiting (re)binding, or popped
+	// from it and being offered to the policy.
 	acctParked
 	// acctHeld: parked in UnitPendingInput behind unreplicated inputs.
 	acctHeld
@@ -177,11 +172,9 @@ func (u *Unit) cancel() {
 type UnitManager struct {
 	session *Session
 	policy  UnitScheduler
-	pilots  []*Pilot
 
-	// load tracks per-pilot in-flight demand; charged maps each bound,
-	// not-yet-final unit to the pilot currently charged for it.
-	load    map[*Pilot]*pilotLoad
+	// charged maps each bound, not-yet-final unit to the pilot currently
+	// charged for it.
 	charged map[*Unit]*Pilot
 
 	// park indexes the units awaiting (re)binding by (priority,
@@ -226,28 +219,11 @@ type UnitManager struct {
 	rerun    bool
 	passDone *sim.Event
 
-	// gen counts scheduling events and unit state changes; the memoized
-	// ClusterView (and with it demand()) rebuilds only when it moved.
-	gen     uint64
-	viewGen uint64
-	view    *ClusterView
-	// sampleGen is the generation the flight recorder last sampled gauges
-	// at: one gauge reading per scheduling-event generation, not per kick.
-	sampleGen uint64
-
-	// Incremental ClusterView accounting: manager-wide running sums
-	// maintained by setAcct on unit transitions, so a view read is an
-	// O(pilots) copy instead of an O(in-flight) walk. Parked units are
-	// counted by the park index's own aggregates; hiddenUnits/
-	// hiddenCores subtract the in-pass batch from the waiting counts
-	// while a pass runs (mirroring the old detached batch slice), with
-	// hideBoundary the park-seq boundary that defines the batch.
-	boundWaitingUnits, boundWaitingCores int
-	runningUnits, runningCores           int
-	heldUnits, heldCores                 int
-	hiding                               bool
-	hideBoundary                         uint64
-	hiddenUnits, hiddenCores             int
+	// view is the manager's one store of demand and per-pilot load: its
+	// counts are updated in place on every unit transition (setAcct,
+	// offerOne, uncharge, countFinal), so a read costs only the refresh
+	// of its live probes.
+	view ClusterView
 
 	// passes counts completed schedule-pass batches and offered the
 	// units handed to the policy across them (a unit re-offered by a
@@ -257,70 +233,44 @@ type UnitManager struct {
 	offered int64
 }
 
-type pilotLoad struct {
-	units int
-	cores int
-	// waiting/running split the in-flight load for PilotView, maintained
-	// as deltas by setAcct.
-	waitingUnits, waitingCores int
-	runningUnits, runningCores int
-	// done and failed count units bound to the pilot that reached a
-	// final state — lifetime totals, never decremented. They feed
-	// PilotView and the telemetry plane's per-pilot accounting.
-	done   int64
-	failed int64
-}
-
 // setAcct moves u between ClusterView buckets, applying the deltas to
-// the manager-wide and per-pilot running sums. It is the single place
-// incremental accounting mutates, so every transition path (submit,
-// hold, release, bind, execute, final) stays balanced by construction;
-// the auditView cross-check recomputes the sums by full walk in tests.
+// the view's manager-wide and per-pilot Waiting, Held and Running
+// counts. It is the only code that changes them, so every transition
+// path (submit, hold, release, bind, execute, final) stays balanced by
+// construction; the auditView cross-check recomputes them by full walk
+// in tests.
 func (um *UnitManager) setAcct(u *Unit, phase acctPhase, pl *Pilot) {
 	if u.acct == phase && u.acctPilot == pl {
 		return
 	}
-	cores := u.Desc.Cores
-	switch u.acct {
-	case acctParked:
-		// The park index's aggregates carry parked counts; nothing to
-		// undo here.
-	case acctHeld:
-		um.heldUnits--
-		um.heldCores -= cores
-	case acctBoundWaiting:
-		um.boundWaitingUnits--
-		um.boundWaitingCores -= cores
-		if ld := um.load[u.acctPilot]; ld != nil {
-			ld.waitingUnits--
-			ld.waitingCores -= cores
-		}
-	case acctRunning:
-		um.runningUnits--
-		um.runningCores -= cores
-		if ld := um.load[u.acctPilot]; ld != nil {
-			ld.runningUnits--
-			ld.runningCores -= cores
-		}
-	}
+	um.view.count(u.acct, u.acctPilot, -1, -u.Desc.Cores)
 	u.acct, u.acctPilot = phase, pl
+	um.view.count(phase, pl, 1, u.Desc.Cores)
+}
+
+// count adds units and cores to the counts of bucket phase, manager-wide
+// and, for the bound phases, on pilot pl.
+func (v *ClusterView) count(phase acctPhase, pl *Pilot, units, cores int) {
 	switch phase {
+	case acctParked:
+		v.WaitingUnits += units
+		v.WaitingCores += cores
 	case acctHeld:
-		um.heldUnits++
-		um.heldCores += cores
+		v.HeldUnits += units
+		v.HeldCores += cores
 	case acctBoundWaiting:
-		um.boundWaitingUnits++
-		um.boundWaitingCores += cores
-		if ld := um.load[pl]; ld != nil {
-			ld.waitingUnits++
-			ld.waitingCores += cores
+		v.WaitingUnits += units
+		v.WaitingCores += cores
+		if pv := v.byPilot[pl]; pv != nil {
+			pv.WaitingUnits += units
+			pv.WaitingCores += cores
 		}
 	case acctRunning:
-		um.runningUnits++
-		um.runningCores += cores
-		if ld := um.load[pl]; ld != nil {
-			ld.runningUnits++
-			ld.runningCores += cores
+		v.RunningUnits += units
+		v.RunningCores += cores
+		if pv := v.byPilot[pl]; pv != nil {
+			pv.RunningUnits += units
+			pv.RunningCores += cores
 		}
 	}
 }
@@ -362,10 +312,10 @@ func NewUnitManager(s *Session, opts ...UnitManagerOption) (*UnitManager, error)
 	um := &UnitManager{
 		session: s,
 		policy:  policy,
-		load:    make(map[*Pilot]*pilotLoad),
 		charged: make(map[*Unit]*Pilot),
 		held:    make(map[*Unit]int),
 		wake:    sim.NewQueue[struct{}](s.eng),
+		view:    ClusterView{byPilot: make(map[*Pilot]*PilotView)},
 	}
 	_, um.policyGated = policy.(CapacityGated)
 	um.cands.um = um
@@ -394,16 +344,14 @@ func (um *UnitManager) AddPilot(pl *Pilot) error {
 	if pl == nil {
 		return fmt.Errorf("core: nil pilot")
 	}
-	for _, q := range um.pilots {
-		if q == pl {
-			return fmt.Errorf("core: pilot %s already added", pl.ID)
-		}
+	if um.view.byPilot[pl] != nil {
+		return fmt.Errorf("core: pilot %s already added", pl.ID)
 	}
-	um.pilots = append(um.pilots, pl)
-	um.load[pl] = &pilotLoad{}
+	pv := &PilotView{Pilot: pl}
+	um.view.Pilots = append(um.view.Pilots, pv)
+	um.view.byPilot[pl] = pv
 	um.pilotGen++
 	um.fullReoffer = true
-	um.bumpGen()
 	pl.OnStateChange(func(pl *Pilot, st PilotState) {
 		// Pilot topology/state events can change what is admissible and
 		// what is forever unschedulable: invalidate the cached candidate
@@ -416,17 +364,6 @@ func (um *UnitManager) AddPilot(pl *Pilot) error {
 		um.kick()
 	})
 	return nil
-}
-
-// livePilots returns the registered pilots not in a final state.
-func (um *UnitManager) livePilots() []*Pilot {
-	live := make([]*Pilot, 0, len(um.pilots))
-	for _, pl := range um.pilots {
-		if !pl.State().Final() {
-			live = append(live, pl)
-		}
-	}
-	return live
 }
 
 // kick wakes the bind loop; kicks coalesce (at most one wake buffered).
@@ -446,7 +383,6 @@ func (um *UnitManager) observe(fn func()) {
 }
 
 func (um *UnitManager) notifyObservers() {
-	um.bumpGen()
 	for _, fn := range um.observers {
 		fn()
 	}
@@ -460,15 +396,14 @@ func (um *UnitManager) notifyObservers() {
 }
 
 // sampleGauges appends one live-gauge reading to the attached flight
-// recorder's series per scheduling-event generation — after observers
-// (the autoscaler) ran, so their effects land in the same tick. Without
-// a recorder the cost is one nil check.
+// recorder's series — after observers (the autoscaler) ran, so their
+// effects land in the same tick. Without a recorder the cost is one nil
+// check.
 func (um *UnitManager) sampleGauges() {
 	r := um.session.rec
-	if r == nil || um.sampleGen == um.gen {
+	if r == nil {
 		return
 	}
-	um.sampleGen = um.gen
 	v := um.ClusterView()
 	g := obs.GaugeSample{
 		QueueDepth:   v.WaitingUnits,
@@ -500,18 +435,6 @@ func (um *UnitManager) sampleGauges() {
 	r.Sample(g)
 }
 
-// demand summarizes the manager's current workload for autoscaling:
-// units not yet executing (parked in the manager plus bound but still
-// queued or in agent scheduling/staging-in) and units currently
-// executing, with their summed core demands. The counting pass is
-// memoized behind the scheduling-event generation counter, so an
-// autoscaler tick arriving while nothing changed reuses the last count
-// instead of re-walking every in-flight unit.
-func (um *UnitManager) demand() (waitingUnits, waitingCores, runningUnits, runningCores int) {
-	v := um.ensureView()
-	return v.WaitingUnits, v.WaitingCores, v.RunningUnits, v.RunningCores
-}
-
 // bindLoop is the manager's scheduling daemon: it re-runs the scheduling
 // pass on every kick (pilot state change, unit completion, new pilot),
 // binding parked units and failing the hopeless ones.
@@ -538,8 +461,8 @@ func (um *UnitManager) bindLoop(p *sim.Proc) {
 // (pilot topology/state events), which re-offer everything so
 // admissibility and ErrUnschedulable answers stay current. Units the
 // policy re-parks, and entries stamped mid-iteration, go aside until
-// the iteration ends; mid-iteration the batch remainder is hidden from
-// views, exactly as the old detached batch slice was.
+// the iteration ends. Views read mid-iteration count the whole parked
+// backlog, the batch included.
 func (um *UnitManager) schedulePass(p *sim.Proc) {
 	for um.passing {
 		um.rerun = true
@@ -556,9 +479,8 @@ func (um *UnitManager) schedulePass(p *sim.Proc) {
 		um.passes++
 		full := um.fullReoffer || !um.policyGated
 		um.fullReoffer = false
-		um.beginBatch()
 		um.runBatch(p, full)
-		um.endBatch()
+		um.park.flushAside()
 		um.sampleGauges()
 		if !um.rerun {
 			return
@@ -566,44 +488,16 @@ func (um *UnitManager) schedulePass(p *sim.Proc) {
 	}
 }
 
-// beginBatch opens a pass iteration: everything parked so far becomes
-// the batch, hidden from views until offered (or until the iteration
-// ends — there is no observable instant between the iteration's last
-// bind and the bulk unhide, so hiding only the unprocessed prefix is
-// indistinguishable from the old detach-whole-batch behavior).
-func (um *UnitManager) beginBatch() {
-	um.hideBoundary = um.park.nextSeq
-	um.hiddenUnits, um.hiddenCores = um.park.units, um.park.cores
-	um.hiding = true
-	um.bumpGen()
-}
-
-// endBatch closes a pass iteration: aside entries rejoin the heaps and
-// the batch remainder becomes visible again.
-func (um *UnitManager) endBatch() {
-	um.park.flushAside()
-	um.hiding = false
-	um.hiddenUnits, um.hiddenCores = 0, 0
-	um.bumpGen()
-}
-
-// unhide removes a popped batch entry from the hidden aggregate.
-func (um *UnitManager) unhide(e parkEntry) {
-	if um.hiding && e.seq < um.hideBoundary {
-		um.hiddenUnits--
-		um.hiddenCores -= e.cores
-	}
-}
-
-// runBatch drains one iteration's batch through the policy.
+// runBatch drains one iteration's batch — everything parked before it
+// began — through the policy.
 func (um *UnitManager) runBatch(p *sim.Proc, full bool) {
-	boundary := um.hideBoundary
+	boundary := um.park.nextSeq
 	for {
 		um.cands.ensure()
 		admit := func(cores int) bool { return full || um.cands.admits(cores) }
 		if !um.park.anyOfferable(admit) {
-			// Nothing left that could bind: the hidden remainder (gated
-			// classes beyond current capacity) unhides at endBatch.
+			// Nothing left that could bind: the remainder (gated classes
+			// beyond current capacity) stays parked.
 			return
 		}
 		e, ok := um.park.popBest()
@@ -616,7 +510,6 @@ func (um *UnitManager) runBatch(p *sim.Proc, full bool) {
 			um.park.setAside(e)
 			continue
 		}
-		um.unhide(e)
 		if e.u.State().Final() || e.u.acct != acctParked {
 			continue // went final while parked: drop the stale entry
 		}
@@ -637,7 +530,7 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 	um.offered++
 	pc := &um.cands
 	if len(pc.list) == 0 {
-		u.fail(fmt.Errorf("core: unit %s: %w among %d registered", u.ID, ErrNoLivePilot, len(um.pilots)))
+		u.fail(fmt.Errorf("core: unit %s: %w among %d registered", u.ID, ErrNoLivePilot, len(um.view.Pilots)))
 		return
 	}
 	pl, err := um.policy.Pick(p, u, pc.list)
@@ -648,7 +541,6 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 	if pl == nil {
 		// Deferred (late binding): park until the next scheduling event.
 		um.parkAgain(u)
-		um.bumpGen()
 		return
 	}
 	c := pc.byPilot[pl]
@@ -664,25 +556,24 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 		// The picked pilot died while the policy blocked in virtual
 		// time: park and retry with fresh candidates.
 		um.parkAgain(u)
-		um.kick() // bumps the generation too
+		um.kick()
 		return
+	}
+	// The bind event reports the pilot's load as the policy saw it, so
+	// it is recorded before the unit is charged.
+	pv := c.View
+	if r := um.session.rec; r != nil {
+		r.Record(obs.Event{
+			Kind: obs.KindBind, Unit: u.ID, Name: u.Desc.Name, Pilot: pl.ID,
+			Policy: um.policy.Name(), Cores: u.Desc.Cores,
+			Detail: fmt.Sprintf("%d/%d cores in flight", pv.InFlightCores, pv.TotalCores),
+		})
 	}
 	u.Pilot = pl
 	um.charged[u] = pl
-	ld := um.load[pl]
-	ld.units++
-	ld.cores += u.Desc.Cores
+	pv.InFlightUnits++
+	pv.InFlightCores += u.Desc.Cores
 	um.setAcct(u, acctBoundWaiting, pl)
-	if r := um.session.rec; r != nil {
-		detail := ""
-		if pv := c.View; pv != nil {
-			detail = fmt.Sprintf("%d/%d cores in flight", pv.InFlightCores, pv.TotalCores)
-		}
-		r.Record(obs.Event{
-			Kind: obs.KindBind, Unit: u.ID, Name: u.Desc.Name, Pilot: pl.ID,
-			Policy: um.policy.Name(), Cores: u.Desc.Cores, Detail: detail,
-		})
-	}
 	u.advance(UnitPendingAgent)
 	um.session.store.Push(p, pl.queueName, u)
 }
@@ -710,7 +601,6 @@ func (um *UnitManager) parkAgain(u *Unit) {
 type passCands struct {
 	um       *UnitManager
 	pilotGen uint64
-	built    bool
 	all      []Candidate
 	list     []*Candidate
 	byPilot  map[*Pilot]*Candidate
@@ -727,26 +617,27 @@ func (pc *passCands) admits(cores int) bool { return cores <= pc.maxFree }
 // ensure refreshes the candidate set for the next offer.
 func (pc *passCands) ensure() {
 	um := pc.um
-	if !pc.built || pc.pilotGen != um.pilotGen {
-		live := um.livePilots()
-		pc.all = make([]Candidate, len(live))
+	if pc.pilotGen != um.pilotGen {
+		// Sized for every registered pilot, so the appends never move
+		// the candidates list and byPilot point into.
+		pc.all = make([]Candidate, 0, len(um.view.Pilots))
 		pc.list = pc.list[:0]
-		pc.byPilot = make(map[*Pilot]*Candidate, len(live))
-		for i, pl := range live {
-			c := &pc.all[i]
-			c.Pilot = pl
+		pc.byPilot = make(map[*Pilot]*Candidate, len(um.view.Pilots))
+		for _, pv := range um.view.Pilots {
+			if pv.Pilot.State().Final() {
+				continue
+			}
+			pc.all = append(pc.all, Candidate{Pilot: pv.Pilot, View: pv})
+			c := &pc.all[len(pc.all)-1]
 			pc.list = append(pc.list, c)
-			pc.byPilot[pl] = c
+			pc.byPilot[pv.Pilot] = c
 		}
-		pc.built = true
 		pc.pilotGen = um.pilotGen
 	}
-	v := um.ensureView()
-	um.refreshProbes(v)
+	um.refreshProbes()
 	pc.maxFree = 0
 	for _, c := range pc.list {
-		pv := v.byPilot[c.Pilot]
-		c.View = pv
+		pv := c.View
 		c.InFlightUnits, c.InFlightCores = pv.InFlightUnits, pv.InFlightCores
 		if st := pv.State; st != PilotActive && st != PilotResizing {
 			continue
@@ -764,17 +655,14 @@ func (pc *passCands) ensure() {
 // completion counters. Cache-completed units never bound, so they have
 // no pilot to credit; their accounting lives in the cache counters.
 func (um *UnitManager) countFinal(u *Unit, st UnitState) {
-	if u.Pilot == nil {
-		return
-	}
-	ld := um.load[u.Pilot]
-	if ld == nil {
+	pv := um.view.byPilot[u.Pilot]
+	if pv == nil {
 		return
 	}
 	if st == UnitDone {
-		ld.done++
+		pv.DoneUnits++
 	} else {
-		ld.failed++
+		pv.FailedUnits++
 	}
 }
 
@@ -794,9 +682,9 @@ func (um *UnitManager) uncharge(u *Unit) {
 		return
 	}
 	delete(um.charged, u)
-	if ld := um.load[pl]; ld != nil {
-		ld.units--
-		ld.cores -= u.Desc.Cores
+	if pv := um.view.byPilot[pl]; pv != nil {
+		pv.InFlightUnits--
+		pv.InFlightCores -= u.Desc.Cores
 	}
 }
 
@@ -820,7 +708,6 @@ func (um *UnitManager) rebindOrphans(dead *Pilot) {
 		// first re-offer must re-evaluate schedulability.
 		um.enqueueUnit(u, false)
 	}
-	um.bumpGen()
 }
 
 // Submit registers the units with the manager and runs a scheduling pass
@@ -840,7 +727,7 @@ func (um *UnitManager) rebindOrphans(dead *Pilot) {
 // pilot was added; a unit that can never be placed fails individually
 // (see ErrNoLivePilot, ErrUnschedulable) rather than failing the batch.
 func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*Unit, error) {
-	if len(um.pilots) == 0 {
+	if len(um.view.Pilots) == 0 {
 		return nil, fmt.Errorf("core: %w", ErrNoPilots)
 	}
 	units := make([]*Unit, 0, len(descs))
@@ -855,7 +742,6 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 		}
 		u.Timestamps[UnitNew] = um.session.eng.Now()
 		u.OnStateChange(func(u *Unit, st UnitState) {
-			um.bumpGen() // any transition can shift the waiting/running split
 			if st == UnitExecuting {
 				um.setAcct(u, acctRunning, u.acctPilot)
 			}

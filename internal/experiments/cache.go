@@ -362,15 +362,8 @@ func WriteCacheComparison(w io.Writer, rows []*CacheRow) {
 		if !r.Cache.Enabled {
 			continue
 		}
-		var c metrics.Counters
-		c.Add("hits", int64(r.Cache.Hits))
-		c.Add("misses", int64(r.Cache.Misses))
-		c.Add("coalesced", int64(r.Cache.Coalesced))
-		c.Add("completions", int64(r.Cache.Completions))
-		c.Add("aborts", int64(r.Cache.Aborts))
-		c.Add("evictions", int64(r.Cache.Evictions))
-		c.Add("entries", int64(r.Cache.Entries))
-		c.Add("cached-bytes", r.Cache.UsedBytes)
-		fmt.Fprintf(w, "\n%s cell cache counters: %s\n", r.Label, c.String())
+		c := r.Cache
+		fmt.Fprintf(w, "\n%s cell cache counters: hits=%d misses=%d coalesced=%d completions=%d aborts=%d evictions=%d entries=%d cached-bytes=%d\n",
+			r.Label, c.Hits, c.Misses, c.Coalesced, c.Completions, c.Aborts, c.Evictions, c.Entries, c.UsedBytes)
 	}
 }

@@ -122,11 +122,11 @@
 // vcores), the waiting/running demand split, the attached data store's
 // used/free bytes, and the input bytes parked behind the manager's
 // waiting units. Unit schedulers receive it as Candidate.View; autoscale
-// policies as AutoscaleSnapshot.View. The demand counts are maintained
-// incrementally off the manager's unit accounting (no per-view walk of
-// the in-flight units), and the assembled snapshot is memoized behind
-// the scheduling-event generation counter, so autoscaler ticks that
-// land between events reuse it.
+// policies as AutoscaleSnapshot.View. The view is live: each manager
+// keeps one, its demand counts are updated in place by the manager's
+// unit accounting (no read walks the in-flight units), and every
+// UnitManager.ClusterView call refreshes its probes — pilot state and
+// capacity, store bytes, pending input bytes — before returning it.
 //
 // On top of the shared view sits the "data-aware" autoscale policy
 // (AutoscaleDataAware, DataAwarePolicy): it grows the pilot whose
