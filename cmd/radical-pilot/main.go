@@ -6,6 +6,10 @@
 //
 //	radical-pilot [-f workload.json] [-v]
 //
+// With -v, every flight-recorder event (unit and pilot states, binds) is
+// written to stderr as one JSON line, interleaved with the engine's text
+// debug log of backend internals.
+//
 // With no -f, a built-in demo workload runs (16 single-core 60 s tasks
 // under a 2-node YARN pilot on Wrangler). The JSON schema:
 //
@@ -60,7 +64,7 @@ func defaultWorkload() workload {
 
 func main() {
 	file := flag.String("f", "", "workload description (JSON); empty runs the demo workload")
-	verbose := flag.Bool("v", false, "trace simulation events")
+	verbose := flag.Bool("v", false, "write recorder events (JSON lines) and the backend debug log to stderr")
 	flag.Parse()
 
 	wl := defaultWorkload()
@@ -95,6 +99,10 @@ func main() {
 	}
 	if *verbose {
 		env.Eng.SetTrace(os.Stderr)
+		rec := pilot.NewRecorder(env.Eng)
+		enc := json.NewEncoder(os.Stderr)
+		rec.OnRecord(func(ev pilot.TraceEvent) { enc.Encode(ev) })
+		env.Session.AttachRecorder(rec)
 	}
 	failed := false
 	env.Eng.Spawn("driver", func(p *sim.Proc) {

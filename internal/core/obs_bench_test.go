@@ -14,6 +14,7 @@ import (
 // benchBindLoop drives one full pilot workload — submit, bind loop,
 // execute, drain — per iteration, optionally under a flight recorder.
 func benchBindLoop(b *testing.B, record bool) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		m := cluster.New(eng, testSpec(2))

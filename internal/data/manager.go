@@ -363,7 +363,6 @@ func (dm *Manager) Cancel(du *Unit) {
 	}
 	du.state = StateCanceled
 	du.Timestamps[StateCanceled] = dm.eng.Now()
-	dm.eng.Tracef("data unit %s -> CANCELED", du.ID)
 	du.recordState(StateCanceled, "")
 	du.watch.Entered(StateCanceled)
 }

@@ -223,7 +223,6 @@ func (du *Unit) advance(st UnitState) {
 	}
 	du.state = st
 	du.Timestamps[st] = du.mgr.eng.Now()
-	du.mgr.eng.Tracef("data unit %s -> %s", du.ID, st)
 	du.recordState(st, "")
 	du.watch.Entered(st)
 }
@@ -245,7 +244,6 @@ func (du *Unit) fail(err error) {
 	du.Err = err
 	du.state = StateFailed
 	du.Timestamps[StateFailed] = du.mgr.eng.Now()
-	du.mgr.eng.Tracef("data unit %s -> FAILED: %v", du.ID, err)
 	du.recordState(StateFailed, err.Error())
 	du.watch.Entered(StateFailed)
 }

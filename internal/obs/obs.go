@@ -10,6 +10,10 @@
 // scheduling events (exportable as JSONL), and the recorder invariants
 // VerifyBinds checks.
 //
+// The recorder is the only structured timeline of a run. The engine's
+// text debug log (sim.Engine.SetTrace) is separate and carries only
+// backend internals that have no typed event.
+//
 // Recording is strictly opt-in: without a Recorder attached to the
 // session (pilot.WithRecorder), the instrumented code paths pay a nil
 // check and nothing else.
@@ -64,9 +68,6 @@ const (
 	// KindGraphAdmit marks a UnitGraph node admitted to the
 	// Unit-Manager; Critical carries its critical-path length.
 	KindGraphAdmit Kind = "graph-admit"
-	// KindTrace is a free-form sim.Engine.Tracef line routed through
-	// the recorder; Detail holds the formatted message.
-	KindTrace Kind = "trace"
 )
 
 // Event is one recorded observation. Only the fields a Kind documents
@@ -115,8 +116,7 @@ type Event struct {
 	Bytes int64 `json:"bytes,omitempty"`
 	// Critical is the node's critical-path length on KindGraphAdmit.
 	Critical float64 `json:"critical,omitempty"`
-	// Detail is free-form context: a bind rationale, a failure cause,
-	// a Tracef message.
+	// Detail is free-form context: a bind rationale, a failure cause.
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -134,15 +134,11 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder stamping events with eng's virtual
-// clock, and routes the engine's Tracef lines through it (satisfying
-// "engine-level events land in the same timeline"): any SetTrace
-// writer keeps working alongside.
+// clock. It only reads the clock: the engine's text debug log
+// (sim.Engine.SetTrace) is untouched, and several recorders may share
+// one engine.
 func NewRecorder(eng *sim.Engine) *Recorder {
-	r := &Recorder{eng: eng, counts: make(map[Kind]int)}
-	eng.SetTraceFunc(func(at time.Duration, msg string) {
-		r.Record(Event{Kind: KindTrace, Detail: msg})
-	})
-	return r
+	return &Recorder{eng: eng, counts: make(map[Kind]int)}
 }
 
 // Record stamps ev with the next sequence number and the current

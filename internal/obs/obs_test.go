@@ -32,33 +32,13 @@ func TestRecorderStampsSeqAndTime(t *testing.T) {
 	if evs[0].At != 5*time.Second || evs[1].At != 9*time.Second {
 		t.Fatalf("at = %v,%v, want 5s,9s", evs[0].At, evs[1].At)
 	}
-	if r.Count(KindBind) != 1 || r.Count(KindUnitState) != 1 || r.Count(KindTrace) != 0 {
-		t.Fatalf("counts wrong: bind=%d state=%d trace=%d",
-			r.Count(KindBind), r.Count(KindUnitState), r.Count(KindTrace))
+	if r.Count(KindBind) != 1 || r.Count(KindUnitState) != 1 {
+		t.Fatalf("counts wrong: bind=%d state=%d", r.Count(KindBind), r.Count(KindUnitState))
 	}
 	// Events() is a copy.
 	evs[0].Unit = "mutated"
 	if r.Events()[0].Unit != "u1" {
 		t.Fatal("Events() aliases recorder storage")
-	}
-}
-
-func TestRecorderCapturesEngineTrace(t *testing.T) {
-	eng := sim.NewEngine()
-	var buf bytes.Buffer
-	eng.SetTrace(&buf)
-	r := NewRecorder(eng)
-	eng.At(3*time.Second, func() { eng.Tracef("hello %d", 42) })
-	eng.Run()
-	if r.Count(KindTrace) != 1 {
-		t.Fatalf("trace events = %d, want 1", r.Count(KindTrace))
-	}
-	ev := r.Events()[0]
-	if ev.Detail != "hello 42" || ev.At != 3*time.Second {
-		t.Fatalf("trace event = %+v", ev)
-	}
-	if !strings.Contains(buf.String(), "hello 42") {
-		t.Fatalf("SetTrace writer lost the line: %q", buf.String())
 	}
 }
 

@@ -5,10 +5,10 @@
 // concurrency and utilization series, the quantities behind the paper's
 // overhead discussion.
 //
-// The decomposition consumes state-entry timelines, which come from two
-// equivalent sources: a unit's Timestamps map (UnitBreakdown), or a
-// flight recorder's event stream (Timelines, ProfileFromEvents,
-// SpansFromEvents) — one source of truth when a recorder is attached.
+// The decomposition consumes the state-entry timelines of a flight
+// recorder's event stream (Timelines, BreakdownFromStates,
+// ProfileFromEvents, SpansFromEvents): the recorder is the one record
+// of a run's unit transitions.
 package profiling
 
 import (
@@ -84,26 +84,12 @@ func (b Breakdown) Total() time.Duration {
 	return t
 }
 
-// UnitBreakdown decomposes one finished unit's time-to-completion.
-// Returns an error if the unit did not complete. Every phase is present
-// in the result (zero when skipped); the sum over phases covers the
-// whole span from the first recorded milestone to DONE, so hold time
-// and cache-completed lifetimes are attributed, not dropped.
-func UnitBreakdown(u *pilot.Unit) (Breakdown, error) {
-	if u.State() != pilot.UnitDone {
-		return nil, fmt.Errorf("profiling: unit %s is %v, not DONE", u.ID, u.State())
-	}
-	entry := make(map[string]time.Duration, len(u.Timestamps))
-	for st, at := range u.Timestamps {
-		entry[st.String()] = at
-	}
-	return breakdownFromEntries(entry), nil
-}
-
 // breakdownFromEntries runs the milestone walk over a completed unit's
-// state-entry times, keyed by state name (the one format both
-// Unit.Timestamps and the flight-recorder event stream reduce to). The
-// caller guarantees a DONE entry exists. Gaps between consecutive
+// state-entry times, keyed by state name. The caller guarantees a DONE
+// entry exists. Every phase is present in the result (zero when
+// skipped); the sum over phases covers the whole span from the first
+// recorded milestone to DONE, so hold time and cache-completed
+// lifetimes are attributed, not dropped. Gaps between consecutive
 // present milestones go to the earlier milestone's phase; the final
 // present milestone runs to DONE.
 func breakdownFromEntries(entry map[string]time.Duration) Breakdown {
@@ -140,28 +126,6 @@ type Profile struct {
 	Phases map[Phase]*metrics.Sample
 }
 
-// NewProfile builds an aggregate profile from finished units (units in
-// other states are skipped and counted separately).
-func NewProfile(units []*pilot.Unit) (*Profile, int) {
-	p := &Profile{Phases: make(map[Phase]*metrics.Sample)}
-	for _, ph := range Phases {
-		p.Phases[ph] = &metrics.Sample{}
-	}
-	skipped := 0
-	for _, u := range units {
-		b, err := UnitBreakdown(u)
-		if err != nil {
-			skipped++
-			continue
-		}
-		p.Units++
-		for ph, d := range b {
-			p.Phases[ph].Add(d)
-		}
-	}
-	return p, skipped
-}
-
 // Write renders the aggregate table.
 func (p *Profile) Write(w io.Writer) {
 	fmt.Fprintf(w, "Unit time breakdown (%d units)\n", p.Units)
@@ -179,23 +143,6 @@ func (p *Profile) Write(w io.Writer) {
 // Span is a [start, end) execution interval.
 type Span struct {
 	Start, End time.Duration
-}
-
-// ExecutionSpans extracts the executing intervals of finished units.
-func ExecutionSpans(units []*pilot.Unit) []Span {
-	var spans []Span
-	for _, u := range units {
-		start, ok1 := u.Timestamps[pilot.UnitExecuting]
-		end, ok2 := u.Timestamps[pilot.UnitStagingOutput]
-		if !ok2 {
-			end, ok2 = u.Timestamps[pilot.UnitDone]
-		}
-		if ok1 && ok2 && end > start {
-			spans = append(spans, Span{Start: start, End: end})
-		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	return spans
 }
 
 // Timelines reduces a flight recorder's event stream to per-unit
@@ -230,9 +177,7 @@ func BreakdownFromStates(unit string, entry map[string]time.Duration) (Breakdown
 }
 
 // ProfileFromEvents builds the aggregate profile from a flight
-// recorder's event stream — the event-sourced twin of NewProfile, for
-// when the units themselves are out of reach (a serialized trace, a
-// finished experiment cell). Units that never reached DONE are skipped
+// recorder's event stream. Units that never reached DONE are skipped
 // and counted.
 func ProfileFromEvents(events []obs.Event) (*Profile, int) {
 	p := &Profile{Phases: make(map[Phase]*metrics.Sample)}
@@ -260,9 +205,9 @@ func ProfileFromEvents(events []obs.Event) (*Profile, int) {
 	return p, skipped
 }
 
-// SpansFromEvents extracts executing intervals from a flight recorder's
-// event stream — the event-sourced twin of ExecutionSpans, feeding
-// MaxConcurrency and Utilization.
+// SpansFromEvents extracts the executing intervals of finished units
+// from a flight recorder's event stream, feeding MaxConcurrency and
+// Utilization.
 func SpansFromEvents(events []obs.Event) []Span {
 	var spans []Span
 	for _, entry := range Timelines(events) {

@@ -11,27 +11,26 @@ import (
 	"repro/pilot"
 )
 
-// runUnits drives a small pilot workload and returns its units and pilot.
-func runUnits(t *testing.T, mode pilot.PilotMode, n int) ([]*pilot.Unit, *pilot.Pilot) {
-	t.Helper()
-	units, pl, _ := runWorkload(t, mode, n, false)
-	return units, pl
-}
-
-// runWorkload is runUnits with an optional flight recorder attached, for
-// cross-checking the Timestamps-based and event-sourced decompositions.
-func runWorkload(t *testing.T, mode pilot.PilotMode, n int, record bool) ([]*pilot.Unit, *pilot.Pilot, *pilot.Recorder) {
+// newRecordedEnv returns a Wrangler environment with a flight recorder
+// attached to its session.
+func newRecordedEnv(t *testing.T) (*experiments.Env, *pilot.Recorder) {
 	t.Helper()
 	env, err := experiments.NewEnv(experiments.Wrangler, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := pilot.NewRecorder(env.Eng)
+	env.Session.AttachRecorder(rec)
+	return env, rec
+}
+
+// runWorkload drives a small pilot workload with a flight recorder
+// attached and returns its units, its pilot and the recorded events.
+func runWorkload(t *testing.T, mode pilot.PilotMode, n int) ([]*pilot.Unit, *pilot.Pilot, []pilot.TraceEvent) {
+	t.Helper()
+	env, rec := newRecordedEnv(t)
 	defer env.Close()
-	var rec *pilot.Recorder
-	if record {
-		rec = pilot.NewRecorder(env.Eng)
-		env.Session.AttachRecorder(rec)
-	}
+	var err error
 	var units []*pilot.Unit
 	var pl *pilot.Pilot
 	env.Eng.Spawn("driver", func(p *sim.Proc) {
@@ -73,13 +72,14 @@ func runWorkload(t *testing.T, mode pilot.PilotMode, n int, record bool) ([]*pil
 		pl.Cancel()
 	})
 	env.Eng.Run()
-	return units, pl, rec
+	return units, pl, rec.Events()
 }
 
-func TestUnitBreakdownSumsToTTC(t *testing.T) {
-	units, _ := runUnits(t, pilot.ModeHPC, 4)
+func TestBreakdownSumsToTTC(t *testing.T) {
+	units, _, events := runWorkload(t, pilot.ModeHPC, 4)
+	tl := Timelines(events)
 	for _, u := range units {
-		b, err := UnitBreakdown(u)
+		b, err := BreakdownFromStates(u.ID, tl[u.ID])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,18 +93,21 @@ func TestUnitBreakdownSumsToTTC(t *testing.T) {
 }
 
 func TestBreakdownRejectsUnfinishedUnit(t *testing.T) {
-	e := sim.NewEngine()
-	defer e.Close()
-	_ = pilot.NewSession(e)
-	u := &pilot.Unit{} // zero unit: state NEW
-	if _, err := UnitBreakdown(u); err == nil {
-		t.Fatal("breakdown of NEW unit accepted")
+	events := []pilot.TraceEvent{
+		{At: sec(0), Kind: pilot.EventUnitState, Unit: "u1", State: pilot.UnitSchedulingUM.String()},
+		{At: sec(2), Kind: pilot.EventUnitState, Unit: "u1", State: pilot.UnitExecuting.String()},
+	}
+	if _, err := BreakdownFromStates("u1", Timelines(events)["u1"]); err == nil {
+		t.Fatal("breakdown of an unfinished unit accepted")
+	}
+	if prof, skipped := ProfileFromEvents(events); prof.Units != 0 || skipped != 1 {
+		t.Fatalf("ProfileFromEvents(unfinished) = %d units, %d skipped; want 0/1", prof.Units, skipped)
 	}
 }
 
 func TestProfileAggregatesAndRenders(t *testing.T) {
-	units, _ := runUnits(t, pilot.ModeYARN, 6)
-	prof, skipped := NewProfile(units)
+	_, _, events := runWorkload(t, pilot.ModeYARN, 6)
+	prof, skipped := ProfileFromEvents(events)
 	if skipped != 0 {
 		t.Fatalf("%d units skipped", skipped)
 	}
@@ -125,8 +128,8 @@ func TestProfileAggregatesAndRenders(t *testing.T) {
 }
 
 func TestConcurrencyAndUtilization(t *testing.T) {
-	units, _ := runUnits(t, pilot.ModeHPC, 8)
-	spans := ExecutionSpans(units)
+	_, _, events := runWorkload(t, pilot.ModeHPC, 8)
+	spans := SpansFromEvents(events)
 	if len(spans) != 8 {
 		t.Fatalf("%d spans, want 8", len(spans))
 	}
@@ -230,13 +233,10 @@ func TestBreakdownAttributesHoldTime(t *testing.T) {
 }
 
 // TestBreakdownFailedUnit: a unit that really failed (its only pilot
-// canceled before it could bind) is refused by UnitBreakdown and
-// skipped by NewProfile rather than decomposed.
+// canceled before it could bind) is refused by BreakdownFromStates and
+// skipped by ProfileFromEvents rather than decomposed.
 func TestBreakdownFailedUnit(t *testing.T) {
-	env, err := experiments.NewEnv(experiments.Wrangler, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, rec := newRecordedEnv(t)
 	defer env.Close()
 	var units []*pilot.Unit
 	env.Eng.Spawn("driver", func(p *sim.Proc) {
@@ -268,12 +268,13 @@ func TestBreakdownFailedUnit(t *testing.T) {
 	if len(units) != 1 || units[0].State() != pilot.UnitFailed {
 		t.Fatalf("expected one FAILED unit, got %v", units)
 	}
-	if _, err := UnitBreakdown(units[0]); err == nil {
-		t.Fatal("UnitBreakdown accepted a FAILED unit")
+	events := rec.Events()
+	if _, err := BreakdownFromStates(units[0].ID, Timelines(events)[units[0].ID]); err == nil {
+		t.Fatal("BreakdownFromStates accepted a FAILED unit")
 	}
-	prof, skipped := NewProfile(units)
+	prof, skipped := ProfileFromEvents(events)
 	if skipped != 1 || prof.Units != 0 {
-		t.Fatalf("NewProfile(failed) = %d units, %d skipped; want 0/1", prof.Units, skipped)
+		t.Fatalf("ProfileFromEvents(failed) = %d units, %d skipped; want 0/1", prof.Units, skipped)
 	}
 }
 
@@ -289,41 +290,32 @@ func TestBreakdownFromStatesRequiresDone(t *testing.T) {
 	}
 }
 
-// TestEventStreamMatchesTimestamps: the flight-recorder event stream and
-// the units' own Timestamps maps are two views of one timeline — the
-// breakdowns, profiles and execution spans derived from each must agree
-// exactly.
+// TestEventStreamMatchesTimestamps: the flight-recorder event stream
+// holds exactly the state entries of each unit's own Timestamps map,
+// keyed by state name — except NEW, which a unit enters before it is
+// ever recorded.
 func TestEventStreamMatchesTimestamps(t *testing.T) {
-	units, _, rec := runWorkload(t, pilot.ModeHPC, 3, true)
-	tl := Timelines(rec.Events())
+	units, _, events := runWorkload(t, pilot.ModeHPC, 3)
+	tl := Timelines(events)
 	for _, u := range units {
-		fromUnit, err := UnitBreakdown(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromEvents, err := BreakdownFromStates(u.ID, tl[u.ID])
-		if err != nil {
-			t.Fatalf("unit %s missing from event stream: %v", u.ID, err)
-		}
-		for _, ph := range Phases {
-			if fromUnit[ph] != fromEvents[ph] {
-				t.Errorf("unit %s phase %s: timestamps say %v, events say %v",
-					u.ID, ph, fromUnit[ph], fromEvents[ph])
+		want := make(map[string]time.Duration, len(u.Timestamps))
+		for st, at := range u.Timestamps {
+			if st != pilot.UnitNew {
+				want[st.String()] = at
 			}
 		}
+		if !reflect.DeepEqual(tl[u.ID], want) {
+			t.Errorf("unit %s:\nevents:     %v\ntimestamps: %v", u.ID, tl[u.ID], want)
+		}
 	}
-	p, skipped := ProfileFromEvents(rec.Events())
+	p, skipped := ProfileFromEvents(events)
 	if skipped != 0 || p.Units != len(units) {
 		t.Fatalf("ProfileFromEvents = %d units, %d skipped; want %d/0", p.Units, skipped, len(units))
-	}
-	s1, s2 := ExecutionSpans(units), SpansFromEvents(rec.Events())
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("spans diverge:\n units: %v\nevents: %v", s1, s2)
 	}
 }
 
 func TestPilotProfile(t *testing.T) {
-	_, pl := runUnits(t, pilot.ModeYARN, 2)
+	_, pl, _ := runWorkload(t, pilot.ModeYARN, 2)
 	ov := PilotProfile(pl)
 	if ov.AgentStartup <= 0 || ov.QueueWait <= 0 {
 		t.Fatalf("overheads not populated: %+v", ov)

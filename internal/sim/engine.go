@@ -31,7 +31,6 @@ type Engine struct {
 	running  bool
 	closed   bool
 	trace    io.Writer
-	traceFn  func(at time.Duration, msg string)
 	nspawned int
 
 	// liveNormal counts unfinished non-daemon processes; nonDaemon
@@ -54,30 +53,20 @@ func NewEngine() *Engine {
 // simulation.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// SetTrace directs a human-readable event trace to w. Passing nil disables
-// tracing. Tracing is intended for debugging and the verbose modes of the
-// command-line tools.
+// SetTrace directs the engine's text debug log to w; nil disables it.
+// The log carries backend internals that have no typed event (batch
+// queue jobs, YARN applications and node membership, agent teardown)
+// and backs the verbose modes of the command-line tools. The structured
+// timeline of a run is the flight recorder, not this log.
 func (e *Engine) SetTrace(w io.Writer) { e.trace = w }
 
-// SetTraceFunc installs a structured trace sink: fn receives every Tracef
-// line with its virtual timestamp. It works alongside any SetTrace writer
-// (both receive the line) and is how a flight recorder folds engine-level
-// events into its timeline. Passing nil uninstalls the sink.
-func (e *Engine) SetTraceFunc(fn func(at time.Duration, msg string)) { e.traceFn = fn }
-
-// Tracef writes a trace line stamped with the current virtual time. It is
-// a no-op unless SetTrace or SetTraceFunc installed a sink.
+// Tracef writes a debug-log line stamped with the current virtual time.
+// It is a no-op unless SetTrace installed a writer.
 func (e *Engine) Tracef(format string, args ...any) {
-	if e.trace == nil && e.traceFn == nil {
+	if e.trace == nil {
 		return
 	}
-	msg := fmt.Sprintf(format, args...)
-	if e.trace != nil {
-		fmt.Fprintf(e.trace, "[%12s] %s\n", e.now, msg)
-	}
-	if e.traceFn != nil {
-		e.traceFn(e.now, msg)
-	}
+	fmt.Fprintf(e.trace, "[%12s] %s\n", e.now, fmt.Sprintf(format, args...))
 }
 
 // item is a scheduled callback. Callbacks run in kernel context: they must

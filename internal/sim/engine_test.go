@@ -265,40 +265,11 @@ func TestTraceOutput(t *testing.T) {
 	e.SetTrace(&sb)
 	e.Spawn("p", func(p *Proc) {
 		p.Sleep(time.Second)
-		p.Tracef("hello %d", 42)
+		e.Tracef("hello %d", 42)
 	})
 	e.Run()
 	if !strings.Contains(sb.String(), "hello 42") {
 		t.Fatalf("trace missing message: %q", sb.String())
-	}
-}
-
-func TestTraceFunc(t *testing.T) {
-	e := NewEngine()
-	var sb strings.Builder
-	var gotAt time.Duration
-	var gotMsg string
-	calls := 0
-	e.SetTrace(&sb)
-	e.SetTraceFunc(func(at time.Duration, msg string) {
-		calls++
-		gotAt, gotMsg = at, msg
-	})
-	e.At(2*time.Second, func() { e.Tracef("hook %d", 7) })
-	e.Run()
-	if calls != 1 || gotMsg != "hook 7" || gotAt != 2*time.Second {
-		t.Fatalf("trace func saw calls=%d msg=%q at=%v", calls, gotMsg, gotAt)
-	}
-	if !strings.Contains(sb.String(), "hook 7") {
-		t.Fatalf("writer sink lost the line alongside the func sink: %q", sb.String())
-	}
-	// Uninstalling restores the no-op fast path.
-	e.SetTrace(nil)
-	e.SetTraceFunc(nil)
-	e.Spawn("q", func(p *Proc) { p.Tracef("dropped") })
-	e.Run()
-	if calls != 1 {
-		t.Fatalf("uninstalled trace func still called: %d", calls)
 	}
 }
 

@@ -155,11 +155,11 @@
 // sim-timestamped events onto one stream (Recorder.Events): pilot,
 // unit and Data-Unit state transitions; scheduler bind verdicts;
 // autoscaler grow/shrink/hold decisions; DAG admissions and
-// hold/release edges; result-cache hits, misses and coalesces; replica
-// placement, failure and re-replication; and the engine's Tracef
-// lines. On every scheduling event the recorder also samples
-// ClusterView into a Series of live gauges (cores, utilization,
-// demand, cache counters), exportable as JSON Lines.
+// hold/release edges; result-cache hits, misses and coalesces; and
+// replica placement, failure and re-replication. On every scheduling
+// event the recorder also samples ClusterView into a Series of live
+// gauges (cores, utilization, demand, cache counters), exportable as
+// JSON Lines.
 //
 // Four consumers sit on the stream: WriteChromeTrace and
 // WriteChromeTraceCells render it as Chrome trace-event JSON viewable

@@ -40,12 +40,10 @@ const (
 	EventReplica    = obs.KindReplica
 	EventStoreFail  = obs.KindStoreFail
 	EventGraphAdmit = obs.KindGraphAdmit
-	EventTrace      = obs.KindTrace
 )
 
 // NewRecorder creates a flight recorder stamping events with eng's
-// virtual clock and folding the engine's Tracef lines into the same
-// timeline. Attach it with WithRecorder.
+// virtual clock. Attach it with WithRecorder.
 func NewRecorder(eng *sim.Engine) *Recorder { return obs.NewRecorder(eng) }
 
 // WriteChromeTrace renders a recorder's event stream as a Chrome
