@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -286,7 +288,9 @@ func WriteScaleSweep(w io.Writer, rows []*ScaleRow) {
 // WriteScaleBenchJSON emits the sweep in the same document shape
 // cmd/benchjson produces from `go test -bench` output, so
 // BENCH_scale.json sits beside the other BENCH_*.json artifacts and
-// the same tooling reads them all.
+// the same tooling reads them all. The cpu field names the host's
+// processor, as `go test -bench` headers do, so a units/sec figure is
+// read against the hardware that produced it.
 func WriteScaleBenchJSON(w io.Writer, rows []*ScaleRow) error {
 	type result struct {
 		Name       string             `json:"name"`
@@ -298,10 +302,12 @@ func WriteScaleBenchJSON(w io.Writer, rows []*ScaleRow) error {
 		GOOS       string   `json:"goos,omitempty"`
 		GOARCH     string   `json:"goarch,omitempty"`
 		Package    string   `json:"pkg,omitempty"`
+		CPU        string   `json:"cpu,omitempty"`
 		Benchmarks []result `json:"benchmarks"`
 	}{
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		Package: "repro/internal/experiments", Benchmarks: []result{},
+		Package: "repro/internal/experiments", CPU: hostCPU(),
+		Benchmarks: []result{},
 	}
 	for _, r := range rows {
 		doc.Benchmarks = append(doc.Benchmarks, result{
@@ -324,4 +330,19 @@ func WriteScaleBenchJSON(w io.Writer, rows []*ScaleRow) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
+}
+
+// hostCPU returns the first "model name" in /proc/cpuinfo, or "" where
+// that file or field is absent.
+func hostCPU() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }

@@ -40,6 +40,7 @@ func TestScaleSweepSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
+		CPU        string `json:"cpu"`
 		Benchmarks []struct {
 			Name    string             `json:"name"`
 			Metrics map[string]float64 `json:"metrics"`
@@ -47,6 +48,9 @@ func TestScaleSweepSmall(t *testing.T) {
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("BENCH document not valid JSON: %v", err)
+	}
+	if doc.CPU != hostCPU() {
+		t.Errorf("cpu = %q; want the host's %q", doc.CPU, hostCPU())
 	}
 	if len(doc.Benchmarks) != len(scales) {
 		t.Fatalf("benchmarks = %d; want %d", len(doc.Benchmarks), len(scales))

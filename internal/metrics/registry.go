@@ -27,6 +27,9 @@ type Registry struct {
 	mu     sync.Mutex
 	order  []*instrument
 	byName map[string]*instrument
+	// expoSize is the last exposition's length, the next one's
+	// buffer capacity.
+	expoSize int
 }
 
 // NewRegistry creates an empty registry.
@@ -51,6 +54,7 @@ type instrument struct {
 	kind    instrumentKind
 	labels  []string  // ordered label names, fixed at declaration
 	buckets []float64 // histogram upper bounds, ascending (no +Inf)
+	header  string    // the rendered # HELP and # TYPE lines
 
 	series map[string]*series
 	sorted []*series // kept sorted by key for deterministic exposition
@@ -60,6 +64,11 @@ type instrument struct {
 type series struct {
 	key    string
 	values []string // label values, same order as instrument.labels
+	// prefix holds each exposition line up to its value, rendered once
+	// at creation because label values never change: one line for a
+	// counter or gauge; for a histogram one per bucket, then +Inf,
+	// _sum and _count.
+	prefix []string
 
 	value float64  // counter / gauge
 	count uint64   // histogram observation count
@@ -136,6 +145,7 @@ func (r *Registry) declare(name, help string, kind instrumentKind, buckets []flo
 		name: name, help: help, kind: kind,
 		labels:  append([]string(nil), labels...),
 		buckets: buckets,
+		header:  headerLines(name, help, kind),
 		series:  make(map[string]*series),
 	}
 	if len(labels) == 0 {
@@ -160,26 +170,66 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
+// headerLines renders an instrument's # HELP (when help is set) and # TYPE
+// lines.
+func headerLines(name, help string, kind instrumentKind) string {
+	var b strings.Builder
+	if help != "" {
+		fmt.Fprintf(&b, "# HELP %s %s\n", name, strings.ReplaceAll(help, "\n", " "))
+	}
+	fmt.Fprintf(&b, "# TYPE %s %s\n", name, kind)
+	return b.String()
+}
+
+// appendKey appends the series map key for the label values.
+func appendKey(dst []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, 0xff)
+		}
+		dst = append(dst, v...)
+	}
+	return dst
+}
+
 // touch returns the series for the label values, creating it at zero.
-// Callers hold the registry lock.
+// The lookup key is built on the stack, so observing an existing series
+// does not allocate. Callers hold the registry lock.
 func (in *instrument) touch(values []string) *series {
 	if len(values) != len(in.labels) {
 		panic(fmt.Sprintf("metrics: %s observed with %d label values, declared with %d labels",
 			in.name, len(values), len(in.labels)))
 	}
-	key := strings.Join(values, "\xff")
-	s, ok := in.series[key]
-	if !ok {
-		s = &series{key: key, values: append([]string(nil), values...)}
-		if in.kind == kindHistogram {
-			s.binCt = make([]uint64, len(in.buckets))
-		}
-		in.series[key] = s
-		at := sort.Search(len(in.sorted), func(i int) bool { return in.sorted[i].key >= key })
-		in.sorted = append(in.sorted, nil)
-		copy(in.sorted[at+1:], in.sorted[at:])
-		in.sorted[at] = s
+	var buf [128]byte
+	key := appendKey(buf[:0], values)
+	if s, ok := in.series[string(key)]; ok {
+		return s
 	}
+	return in.newSeries(string(key), values)
+}
+
+// newSeries creates the series for key at zero, renders its line
+// prefixes and inserts it in key order.
+func (in *instrument) newSeries(key string, values []string) *series {
+	s := &series{key: key, values: append([]string(nil), values...)}
+	if in.kind == kindHistogram {
+		s.binCt = make([]uint64, len(in.buckets))
+		for _, ub := range in.buckets {
+			s.prefix = append(s.prefix, in.name+"_bucket"+labelPairs(in.labels, values, "le", ub)+" ")
+		}
+		labels := labelPairs(in.labels, values, "", 0)
+		s.prefix = append(s.prefix,
+			in.name+"_bucket"+labelPairs(in.labels, values, "le", math.Inf(1))+" ",
+			in.name+"_sum"+labels+" ",
+			in.name+"_count"+labels+" ")
+	} else {
+		s.prefix = []string{in.name + labelPairs(in.labels, values, "", 0) + " "}
+	}
+	in.series[key] = s
+	at := sort.Search(len(in.sorted), func(i int) bool { return in.sorted[i].key >= key })
+	in.sorted = append(in.sorted, nil)
+	copy(in.sorted[at+1:], in.sorted[at:])
+	in.sorted[at] = s
 	return s
 }
 
@@ -230,48 +280,52 @@ func (h *Histogram) Observe(v float64, labelValues ...string) {
 // one line per series, histograms expanded into cumulative _bucket
 // lines plus _sum and _count. Instruments render in declaration order
 // and series in label-value order, so output is deterministic.
+//
+// The exposition is assembled from each series' pre-rendered line
+// prefixes under the registry lock, then written with one Write after
+// the lock is released: a slow reader never stalls observation.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	b := make([]byte, 0, r.expoSize)
 	for _, in := range r.order {
-		if in.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", in.name, strings.ReplaceAll(in.help, "\n", " ")); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", in.name, in.kind); err != nil {
-			return err
-		}
+		b = append(b, in.header...)
 		for _, s := range in.sorted {
-			if err := in.writeSeries(w, s); err != nil {
-				return err
-			}
+			b = in.appendSeries(b, s)
 		}
 	}
-	return nil
+	r.expoSize = len(b)
+	r.mu.Unlock()
+	_, err := w.Write(b)
+	return err
 }
 
-// writeSeries renders one series' exposition lines.
-func (in *instrument) writeSeries(w io.Writer, s *series) error {
+// appendSeries appends one series' exposition lines to b.
+func (in *instrument) appendSeries(b []byte, s *series) []byte {
 	if in.kind != kindHistogram {
-		_, err := fmt.Fprintf(w, "%s%s %s\n", in.name, labelPairs(in.labels, s.values, "", 0), formatValue(s.value))
-		return err
+		return appendLine(b, s.prefix[0], s.value)
 	}
-	for i, ub := range in.buckets {
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			in.name, labelPairs(in.labels, s.values, "le", ub), s.binCt[i]); err != nil {
-			return err
-		}
+	for i, ct := range s.binCt {
+		b = appendCount(b, s.prefix[i], ct)
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		in.name, labelPairs(in.labels, s.values, "le", math.Inf(1)), s.count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", in.name, labelPairs(in.labels, s.values, "", 0), formatValue(s.sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", in.name, labelPairs(in.labels, s.values, "", 0), s.count)
-	return err
+	n := len(s.binCt)
+	b = appendCount(b, s.prefix[n], s.count)
+	b = appendLine(b, s.prefix[n+1], s.sum)
+	return appendCount(b, s.prefix[n+2], s.count)
+}
+
+// appendLine appends prefix, a sample value as formatValue renders it,
+// and a newline.
+func appendLine(b []byte, prefix string, v float64) []byte {
+	b = append(b, prefix...)
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	return append(b, '\n')
+}
+
+// appendCount appends prefix, a decimal count and a newline.
+func appendCount(b []byte, prefix string, n uint64) []byte {
+	b = append(b, prefix...)
+	b = strconv.AppendUint(b, n, 10)
+	return append(b, '\n')
 }
 
 // labelPairs renders `{a="x",b="y"}` (empty string for no labels), with
@@ -406,7 +460,8 @@ func (r *Registry) Value(name string, labelValues ...string) (float64, bool) {
 	if !ok || in.kind == kindHistogram {
 		return 0, false
 	}
-	s, ok := in.series[strings.Join(labelValues, "\xff")]
+	var buf [128]byte
+	s, ok := in.series[string(appendKey(buf[:0], labelValues))]
 	if !ok {
 		return 0, false
 	}

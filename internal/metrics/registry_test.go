@@ -1,10 +1,13 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterLabels(t *testing.T) {
@@ -227,5 +230,68 @@ func TestFormatBound(t *testing.T) {
 	}
 	if got := formatBound(0.25); got != "0.25" {
 		t.Fatalf("formatBound(0.25) = %q", got)
+	}
+}
+
+// blockingWriter holds every Write until release is closed, signalling
+// started on the first one.
+type blockingWriter struct {
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+	buf     bytes.Buffer
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// TestWritePrometheusReleasesLockBeforeWriting: a scrape whose client
+// reads slowly must not stall observation — the registry lock is
+// released before the exposition is written out.
+func TestWritePrometheusReleasesLockBeforeWriting(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("ops", "", "worker")
+	c.Inc("w1")
+	w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
+	wrote := make(chan error, 1)
+	go func() { wrote <- reg.WritePrometheus(w) }()
+	<-w.started
+
+	inc := make(chan struct{})
+	go func() {
+		c.Inc("w1")
+		close(inc)
+	}()
+	select {
+	case <-inc:
+	case <-time.After(2 * time.Second):
+		t.Error("Counter.Inc blocked while WritePrometheus was writing")
+	}
+	close(w.release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	<-inc
+	if !strings.Contains(w.buf.String(), `ops{worker="w1"} 1`) {
+		t.Fatalf("exposition lost the pre-scrape value:\n%s", w.buf.String())
+	}
+}
+
+// TestObserveExistingSeriesDoesNotAllocate: observing a series that
+// already exists builds its lookup key without allocating.
+func TestObserveExistingSeriesDoesNotAllocate(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("pilot_units_done", "", "pilot", "scheduler")
+	h := reg.Histogram("bind_latency_seconds", "", nil, "pilot", "scheduler")
+	c.Inc("pilot.0001", "backfill")
+	h.Observe(1, "pilot.0001", "backfill")
+	if n := testing.AllocsPerRun(100, func() { c.Inc("pilot.0001", "backfill") }); n != 0 {
+		t.Errorf("Counter.Inc on an existing series: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Observe(0.3, "pilot.0001", "backfill") }); n != 0 {
+		t.Errorf("Histogram.Observe on an existing series: %v allocs, want 0", n)
 	}
 }

@@ -10,7 +10,8 @@ import (
 // MetricsHandler serves a registry over HTTP: Prometheus text
 // exposition (version 0.0.4) at /metrics and the JSON snapshot at
 // /debug/pilot. The registry's own lock makes scraping safe while the
-// simulation keeps observing.
+// simulation keeps observing; /metrics renders under that lock and
+// writes the response after releasing it.
 func MetricsHandler(reg *metrics.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

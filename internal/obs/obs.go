@@ -16,7 +16,11 @@
 //
 // Recording is strictly opt-in: without a Recorder attached to the
 // session (pilot.WithRecorder), the instrumented code paths pay a nil
-// check and nothing else.
+// check and nothing else. An attached Recorder keeps every event, about
+// 224 B each, so its memory grows with run length. Events and gauge
+// samples live in fixed pages that are never copied as the stream
+// grows, so recording allocates one page per pageSize events and
+// nothing else.
 package obs
 
 import (
@@ -127,7 +131,7 @@ type Event struct {
 // everything else on a sim.Engine, the kernel serializes access.
 type Recorder struct {
 	eng    *sim.Engine
-	events []Event
+	events pageStore[Event]
 	counts map[Kind]int
 	series Series
 	hooks  []func(Event)
@@ -145,9 +149,9 @@ func NewRecorder(eng *sim.Engine) *Recorder {
 // virtual time, appends it, and hands the stamped event to every
 // OnRecord hook.
 func (r *Recorder) Record(ev Event) {
-	ev.Seq = len(r.events)
+	ev.Seq = r.events.len()
 	ev.At = r.eng.Now()
-	r.events = append(r.events, ev)
+	r.events.add(ev)
 	r.counts[ev.Kind]++
 	for _, fn := range r.hooks {
 		fn(ev)
@@ -166,11 +170,11 @@ func (r *Recorder) OnRecord(fn func(Event)) {
 // Events returns the recorded events in record order. The slice is a
 // copy; mutating it does not disturb the recorder.
 func (r *Recorder) Events() []Event {
-	return append([]Event(nil), r.events...)
+	return r.events.all()
 }
 
 // Len reports the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return r.events.len() }
 
 // Count reports how many events of kind were recorded.
 func (r *Recorder) Count(kind Kind) int { return r.counts[kind] }
