@@ -12,8 +12,8 @@ import (
 
 // bagTelemetryRegistry builds the registry a bag of 1-core units on 16
 // backfill-scheduled HPC pilots leaves behind: the Bridge instrument set
-// fed with pilot lifecycles and unitsPerPilot unit lifecycles per pilot.
-func bagTelemetryRegistry(unitsPerPilot int) *metrics.Registry {
+// fed with each pilot's lifecycle and 64 unit lifecycles per pilot.
+func bagTelemetryRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	b := obs.NewBridge(reg)
 	at := time.Duration(0)
@@ -27,7 +27,7 @@ func bagTelemetryRegistry(unitsPerPilot int) *metrics.Registry {
 		for _, st := range []string{"PMGR_LAUNCHING", "PMGR_ACTIVE"} {
 			ev(obs.Event{Kind: obs.KindPilotState, Pilot: pilot, State: st})
 		}
-		for u := 0; u < unitsPerPilot; u++ {
+		for u := 0; u < 64; u++ {
 			unit := fmt.Sprintf("unit.%04d.%06d", p, u)
 			ev(obs.Event{Kind: obs.KindUnitState, Unit: unit, State: "UMGR_SCHEDULING", Cores: 1})
 			ev(obs.Event{Kind: obs.KindBind, Unit: unit, Pilot: pilot, Policy: "backfill"})
@@ -42,7 +42,7 @@ func bagTelemetryRegistry(unitsPerPilot int) *metrics.Registry {
 // BenchmarkWritePrometheus measures one /metrics exposition of a
 // bag-telemetry-shaped registry.
 func BenchmarkWritePrometheus(b *testing.B) {
-	reg := bagTelemetryRegistry(64)
+	reg := bagTelemetryRegistry()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
