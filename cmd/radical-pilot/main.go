@@ -17,7 +17,7 @@
 //	  "machine": "wrangler",       // stampede | wrangler
 //	  "mode": "yarn",              // hpc | yarn | spark
 //	  "mode2": false,              // connect to dedicated cluster (yarn)
-//	  "scheduler": "round-robin",  // round-robin | least-loaded | backfill | locality
+//	  "scheduler": "round-robin",  // round-robin | least-loaded | backfill | locality | co-locate
 //	  "nodes": 2,
 //	  "runtime_min": 120,
 //	  "units": 16,

@@ -57,7 +57,9 @@ func (pl *Pilot) runAgent(p *sim.Proc, alloc *hpc.Allocation) {
 		a.bootstrap(p)
 		sched, err := a.backend.Bootstrap(p, a.bc)
 		if err != nil {
-			panic(fmt.Sprintf("core: agent %s: %s backend bootstrap: %v", pl.ID, a.backend.Name(), err))
+			pl.Err = fmt.Errorf("core: agent %s: %s backend bootstrap: %w", pl.ID, a.backend.Name(), err)
+			pl.advance(PilotFailed)
+			return
 		}
 		a.sched = sched
 		a.startComponents(p)

@@ -92,7 +92,7 @@ func TestClusterViewCountsAndDataBytes(t *testing.T) {
 		plA.WaitState(p, PilotActive)
 		plB.WaitState(p, PilotActive)
 		for _, u := range units {
-			u.watch.Await(p, u.State(), func(s UnitState) bool { return s >= UnitExecuting })
+			u.watch.AwaitMin(p, u.State(), UnitExecuting)
 		}
 		v = um.ClusterView()
 		if v.RunningUnits != 2 || v.RunningCores != 3 || v.WaitingUnits != 0 {

@@ -24,6 +24,9 @@ type Pilot struct {
 
 	state PilotState
 	watch *sim.Notifier[PilotState]
+	// Err records the failure cause for PilotFailed when the agent
+	// itself failed (a backend Bootstrap error).
+	Err error
 	// Timestamps records when each state was entered.
 	Timestamps map[PilotState]sim.Duration
 

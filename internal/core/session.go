@@ -207,9 +207,6 @@ func NewDataManager(s *Session) *data.Manager {
 	return m
 }
 
-// Store returns the coordination store (exposed for tests and metrics).
-func (s *Session) Store() *coord.Store { return s.store }
-
 // Profile returns the bootstrap cost model.
 func (s *Session) Profile() BootstrapProfile { return s.profile }
 

@@ -27,7 +27,8 @@ const (
 	PilotDone
 	// PilotCanceled: the pilot was canceled.
 	PilotCanceled
-	// PilotFailed: the placeholder job failed (e.g. walltime).
+	// PilotFailed: the placeholder job failed (e.g. walltime), or the
+	// backend's Bootstrap did (the cause is in Pilot.Err).
 	PilotFailed
 )
 

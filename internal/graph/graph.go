@@ -63,9 +63,6 @@ func (n *Node) SetWork(w float64) *Node {
 	return n
 }
 
-// Work returns the node's work estimate.
-func (n *Node) Work() float64 { return n.work }
-
 // Unit returns the admitted Compute-Unit, nil before Submit.
 func (n *Node) Unit() *core.Unit { return n.unit }
 

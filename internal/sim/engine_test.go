@@ -203,41 +203,6 @@ func TestYieldOrdering(t *testing.T) {
 	}
 }
 
-func TestGate(t *testing.T) {
-	e := NewEngine()
-	g := NewGate(e, false)
-	var passed []time.Duration
-	for i := 0; i < 2; i++ {
-		e.Spawn("w", func(p *Proc) {
-			g.Await(p)
-			passed = append(passed, p.Now())
-		})
-	}
-	e.At(time.Second, func() { g.Open() })
-	e.Run()
-	if len(passed) != 2 || passed[0] != time.Second || passed[1] != time.Second {
-		t.Fatalf("passed = %v, want [1s 1s]", passed)
-	}
-	g.Shut()
-	if g.IsOpen() {
-		t.Fatal("gate should be shut")
-	}
-	done := false
-	e.Spawn("w2", func(p *Proc) {
-		g.Await(p)
-		done = true
-	})
-	e.Run()
-	if done {
-		t.Fatal("waiter passed through a shut gate")
-	}
-	g.Open()
-	e.Run()
-	if !done {
-		t.Fatal("waiter not released on reopen")
-	}
-}
-
 func TestSpawnAfterDelaysStart(t *testing.T) {
 	e := NewEngine()
 	var started time.Duration = -1

@@ -43,9 +43,6 @@ func NewSharedLink(e *Engine, name string, bytesPerSec float64) *SharedLink {
 // Name returns the link name (for traces).
 func (l *SharedLink) Name() string { return l.name }
 
-// Rate returns the total bandwidth in bytes/second.
-func (l *SharedLink) Rate() float64 { return l.rate }
-
 // Active returns the number of in-flight transfers.
 func (l *SharedLink) Active() int { return len(l.flows) }
 

@@ -35,16 +35,15 @@ func TestNotifierAwaitMinThreshold(t *testing.T) {
 }
 
 // TestNotifierWakeOrdering: waiters released by the same entered state
-// wake in registration order, no matter how threshold (AwaitMin) and
-// predicate (Await) waiters interleave — the heap must not reorder them.
+// wake in registration order, no matter how their thresholds interleave —
+// the heap must not reorder them.
 func TestNotifierWakeOrdering(t *testing.T) {
 	e := NewEngine()
 	n := NewNotifier[int](e)
 	var order []int
-	// Registration order 0..5 alternates high-threshold, low-threshold,
-	// and predicate waiters; a (min, seq) heap pops the low thresholds
-	// first, so a notifier that triggered in pop order would wake
-	// [1 3 0 2 4 5].
+	// Registration order 0..5 alternates high and low thresholds; a
+	// (min, seq) heap pops the low thresholds first, so a notifier that
+	// triggered in pop order would wake [1 3 4 5 0 2].
 	spawn := func(i int, wait func(p *Proc)) {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
 			wait(p)
@@ -55,7 +54,7 @@ func TestNotifierWakeOrdering(t *testing.T) {
 	spawn(1, func(p *Proc) { n.AwaitMin(p, 0, 2) })
 	spawn(2, func(p *Proc) { n.AwaitMin(p, 0, 9) })
 	spawn(3, func(p *Proc) { n.AwaitMin(p, 0, 3) })
-	spawn(4, func(p *Proc) { n.Await(p, 0, func(s int) bool { return s >= 5 }) })
+	spawn(4, func(p *Proc) { n.AwaitMin(p, 0, 4) })
 	spawn(5, func(p *Proc) { n.AwaitMin(p, 0, 5) })
 	e.At(time.Second, func() { n.Entered(9) })
 	e.Run()
@@ -66,12 +65,17 @@ func TestNotifierWakeOrdering(t *testing.T) {
 
 // TestNotifierReentrantEntered: a subscriber callback entering a further
 // state (the pilot Resizing→Active re-announce shape) must complete the
-// nested wake without corrupting the in-flight one — both states' waiters
-// release, in registration order.
+// nested wake without corrupting the in-flight one — every state's waiters
+// release, in registration order. w4 registers first, so the heap's pop
+// order [w2 w3 w4] differs from the registration order checked below.
 func TestNotifierReentrantEntered(t *testing.T) {
 	e := NewEngine()
 	n := NewNotifier[int](e)
 	var order []string
+	e.Spawn("w4", func(p *Proc) {
+		n.AwaitMin(p, 0, 4)
+		order = append(order, "w4")
+	})
 	e.Spawn("w2", func(p *Proc) {
 		n.AwaitMin(p, 0, 2)
 		order = append(order, "w2")
@@ -79,10 +83,6 @@ func TestNotifierReentrantEntered(t *testing.T) {
 	e.Spawn("w3", func(p *Proc) {
 		n.AwaitMin(p, 0, 3)
 		order = append(order, "w3")
-	})
-	e.Spawn("w4", func(p *Proc) {
-		n.Await(p, 0, func(s int) bool { return s >= 4 })
-		order = append(order, "w4")
 	})
 	entered := []int{}
 	n.Subscribe(func(s int) {
@@ -99,8 +99,8 @@ func TestNotifierReentrantEntered(t *testing.T) {
 	if fmt.Sprint(entered) != "[2 3 4]" {
 		t.Fatalf("subscriber saw %v, want [2 3 4]", entered)
 	}
-	if fmt.Sprint(order) != "[w2 w3 w4]" {
-		t.Fatalf("wake order = %v, want [w2 w3 w4]", order)
+	if fmt.Sprint(order) != "[w4 w2 w3]" {
+		t.Fatalf("wake order = %v, want registration order [w4 w2 w3]", order)
 	}
 }
 

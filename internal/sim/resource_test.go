@@ -12,13 +12,24 @@ func TestResourceBasics(t *testing.T) {
 	if r.Capacity() != 4 || r.Available() != 4 || r.InUse() != 0 {
 		t.Fatal("bad initial state")
 	}
-	if !r.TryAcquire(3) {
-		t.Fatal("TryAcquire(3) failed on empty resource")
+	second := time.Duration(-1)
+	e.Spawn("first", func(p *Proc) {
+		r.Acquire(p, 3)
+		if p.Now() != 0 || r.InUse() != 3 {
+			t.Errorf("Acquire(3) on an empty resource: at %v, in use %d", p.Now(), r.InUse())
+		}
+		p.Sleep(time.Second)
+		r.Release(3)
+	})
+	e.Spawn("second", func(p *Proc) {
+		r.Acquire(p, 2) // only 1 available until first releases
+		second = p.Now()
+		r.Release(2)
+	})
+	e.Run()
+	if second != time.Second {
+		t.Fatalf("Acquire(2) with only 1 available returned at %v, want 1s", second)
 	}
-	if r.TryAcquire(2) {
-		t.Fatal("TryAcquire(2) succeeded with only 1 available")
-	}
-	r.Release(3)
 	if r.InUse() != 0 {
 		t.Fatalf("in use = %d after release", r.InUse())
 	}
@@ -75,32 +86,14 @@ func TestResourceFIFONoOvertaking(t *testing.T) {
 	}
 }
 
-func TestTryAcquireRespectsQueue(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 4)
-	e.Spawn("p", func(p *Proc) {
-		r.Acquire(p, 3)
-		// A queued waiter exists once "q" runs; TryAcquire for 1 must
-		// fail even though 1 unit is free, to preserve FIFO.
-		p.Sleep(2 * time.Second)
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire overtook a queued waiter")
-		}
-		r.Release(3)
-	})
-	e.Spawn("q", func(p *Proc) {
-		p.Sleep(time.Second)
-		r.Acquire(p, 4)
-		r.Release(4)
-	})
-	e.Run()
-}
-
 func TestResourceMisusePanics(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 2)
-	assertPanics(t, "zero acquire", func() { r.TryAcquire(0) })
-	assertPanics(t, "over-capacity", func() { r.TryAcquire(3) })
+	e.Spawn("misuse", func(p *Proc) {
+		assertPanics(t, "zero acquire", func() { r.Acquire(p, 0) })
+		assertPanics(t, "over-capacity", func() { r.Acquire(p, 3) })
+	})
+	e.Run()
 	assertPanics(t, "release unheld", func() { r.Release(1) })
 	assertPanics(t, "zero capacity", func() { NewResource(e, 0) })
 }

@@ -2,9 +2,6 @@
 // the paper chose for RADICAL-Pilot's Spark integration ("we decided to
 // support Spark via the standalone deployment mode"): a Master process,
 // one Worker per node, and per-application executors holding core slots.
-// The rdd.go file adds a small typed RDD layer with narrow/wide
-// transformations and stage-based execution on top, used by the analytics
-// examples.
 package spark
 
 import (

@@ -98,27 +98,6 @@ func (am *AppMaster) Launch(p *sim.Proc, c *Container, body ContainerBody) error
 	return nil
 }
 
-// ReleaseContainer returns an allocated-but-unlaunched container to the
-// cluster.
-func (am *AppMaster) ReleaseContainer(p *sim.Proc, c *Container) error {
-	if c.state != ContainerAllocated {
-		return fmt.Errorf("yarn: container %d is %v, cannot release", c.ID, c.state)
-	}
-	p.Sleep(am.rm.cfg.RPCLatency)
-	c.terminal(ContainerKilled, ExitKilled)
-	return nil
-}
-
-// KillContainer stops a running container (stopContainer RPC).
-func (am *AppMaster) KillContainer(p *sim.Proc, c *Container) error {
-	p.Sleep(am.rm.cfg.RPCLatency)
-	if c.proc != nil && (c.state == ContainerRunning || c.state == ContainerLocalizing) {
-		c.proc.Interrupt(fmt.Errorf("yarn: container %d killed by AM", c.ID))
-	}
-	c.terminal(ContainerKilled, ExitKilled)
-	return nil
-}
-
 // Unregister reports the final status and terminates the application.
 // The AM runner should return shortly after.
 func (am *AppMaster) Unregister(p *sim.Proc, status FinalStatus) {

@@ -16,7 +16,6 @@ const (
 	ContainerRunning
 	ContainerCompleted
 	ContainerKilled
-	ContainerPreempted
 )
 
 // String returns the YARN-style state name.
@@ -32,20 +31,14 @@ func (s ContainerState) String() string {
 		return "COMPLETE"
 	case ContainerKilled:
 		return "KILLED"
-	case ContainerPreempted:
-		return "PREEMPTED"
 	default:
 		return fmt.Sprintf("ContainerState(%d)", int(s))
 	}
 }
 
-// Exit codes reported for abnormal completion, matching YARN constants.
-const (
-	// ExitPreempted is YARN's -102 (container preempted by scheduler).
-	ExitPreempted = -102
-	// ExitKilled is YARN's -105 (killed by the ApplicationMaster).
-	ExitKilled = -105
-)
+// ExitKilled is YARN's -105 exit code: the container was killed by the
+// ApplicationMaster or with its application.
+const ExitKilled = -105
 
 // ContainerBody is the code that runs inside a container.
 type ContainerBody func(p *sim.Proc, c *Container)
@@ -80,7 +73,7 @@ func (c *Container) State() ContainerState { return c.state }
 // terminal moves the container to a terminal state, releasing resources
 // exactly once. Kernel or process context.
 func (c *Container) terminal(state ContainerState, exit int) {
-	if c.state == ContainerCompleted || c.state == ContainerKilled || c.state == ContainerPreempted {
+	if c.state == ContainerCompleted || c.state == ContainerKilled {
 		return
 	}
 	c.state = state
@@ -89,6 +82,6 @@ func (c *Container) terminal(state ContainerState, exit int) {
 	delete(c.nm.containers, c.ID)
 	c.nm.containerGone()
 	c.nm.release(c.Spec)
-	c.nm.rm.containerFinished(c)
+	delete(c.App.live, c.ID)
 	c.Done.Trigger()
 }

@@ -59,8 +59,7 @@ type AMRunner func(p *sim.Proc, am *AppMaster)
 
 // AppDesc describes an application submission.
 type AppDesc struct {
-	Name  string
-	Queue string
+	Name string
 	// AMResource sizes the ApplicationMaster container (defaults to
 	// 1024 MB / 1 vcore, YARN's default).
 	AMResource ResourceSpec
@@ -69,9 +68,8 @@ type AppDesc struct {
 
 // Application is a submitted YARN application.
 type Application struct {
-	ID    int
-	Name  string
-	Queue string
+	ID   int
+	Name string
 
 	rm     *ResourceManager
 	runner AMRunner
@@ -131,7 +129,7 @@ type ClusterMetrics struct {
 type ResourceManager struct {
 	eng   *sim.Engine
 	cfg   Config
-	sched Scheduler
+	sched *FIFOScheduler
 	rng   *rand.Rand
 
 	nms  []*NodeManager
@@ -149,14 +147,10 @@ func NewResourceManager(e *sim.Engine, cfg Config, nodes []*cluster.Node) (*Reso
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("yarn: need at least one node")
 	}
-	sched := cfg.Scheduler
-	if sched == nil {
-		sched = NewFIFOScheduler()
-	}
 	rm := &ResourceManager{
 		eng:   e,
 		cfg:   cfg,
-		sched: sched,
+		sched: NewFIFOScheduler(),
 		rng:   sim.SubRNG(cfg.Seed, "yarn-rm"),
 		apps:  make(map[int]*Application),
 	}
@@ -296,7 +290,6 @@ func (rm *ResourceManager) Submit(p *sim.Proc, desc AppDesc) (*Application, erro
 	app := &Application{
 		ID:         rm.nextApp,
 		Name:       desc.Name,
-		Queue:      desc.Queue,
 		rm:         rm,
 		runner:     desc.Runner,
 		amSpec:     amSpec,
@@ -361,27 +354,6 @@ func (rm *ResourceManager) launchAM(c *Container) {
 		am := &AppMaster{app: app, rm: rm, Container: c}
 		app.runner(p, am)
 	})
-}
-
-// containerFinished updates scheduler accounting on any container exit.
-func (rm *ResourceManager) containerFinished(c *Container) {
-	delete(c.App.live, c.ID)
-	if cs, ok := rm.sched.(*CapacityScheduler); ok {
-		cs.ContainerReleased(c.App.Queue, c.Spec)
-	}
-}
-
-// Preempt reclaims a running container for the scheduler (the behaviour
-// the paper warns YARN applications must tolerate). The container body
-// is interrupted and the AM sees exit code ExitPreempted.
-func (rm *ResourceManager) Preempt(c *Container) {
-	if c.state != ContainerRunning && c.state != ContainerLocalizing {
-		return
-	}
-	if c.proc != nil {
-		c.proc.Interrupt(fmt.Errorf("yarn: container %d preempted", c.ID))
-	}
-	c.terminal(ContainerPreempted, ExitPreempted)
 }
 
 // Kill terminates an application: all its containers are killed and the

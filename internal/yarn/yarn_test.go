@@ -235,45 +235,6 @@ func TestSubmitValidation(t *testing.T) {
 	e.Close()
 }
 
-func TestPreemptionInterruptsContainer(t *testing.T) {
-	e := sim.NewEngine()
-	m := testMachine(e, 1)
-	rm := deployRM(t, e, m, fastConfig())
-	var exitCode int
-	var preempted *Container
-	e.Spawn("client", func(p *sim.Proc) {
-		app, _ := rm.Submit(p, AppDesc{
-			Name: "victim",
-			Runner: func(pp *sim.Proc, am *AppMaster) {
-				am.Register(pp)
-				am.RequestContainers(pp, ResourceSpec{MemoryMB: 1024, VCores: 1}, 1, nil)
-				c := am.NextContainer(pp)
-				preempted = c
-				am.Launch(pp, c, func(cp *sim.Proc, cc *Container) {
-					cp.Sleep(time.Hour) // will be preempted
-				})
-				pp.Wait(c.Done)
-				exitCode = c.ExitCode
-				am.Unregister(pp, StatusSucceeded)
-			},
-		})
-		app.Wait(p)
-	})
-	e.At(30*time.Second, func() {
-		if preempted != nil {
-			rm.Preempt(preempted)
-		}
-	})
-	e.Run()
-	e.Close()
-	if exitCode != ExitPreempted {
-		t.Fatalf("exit code = %d, want %d", exitCode, ExitPreempted)
-	}
-	if got := rm.Metrics().AllocatedMB; got != 0 {
-		t.Fatalf("allocated after preemption = %d, want 0", got)
-	}
-}
-
 func TestKillApplication(t *testing.T) {
 	e := sim.NewEngine()
 	m := testMachine(e, 1)
@@ -375,91 +336,6 @@ func TestPreferredNodePlacement(t *testing.T) {
 	e.Close()
 	if got != want {
 		t.Fatalf("container placed on %s, want %s", got.Name, want.Name)
-	}
-}
-
-func TestCapacitySchedulerSharesCluster(t *testing.T) {
-	e := sim.NewEngine()
-	m := testMachine(e, 2)
-	cfg := fastConfig()
-	cs, err := NewCapacityScheduler([]QueueSpec{
-		{Name: "prod", Capacity: 0.7},
-		{Name: "dev", Capacity: 0.3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Scheduler = cs
-	rm := deployRM(t, e, m, cfg)
-	ranProd, ranDev := 0, 0
-	var stProd, stDev FinalStatus
-	e.Spawn("client", func(p *sim.Proc) {
-		prod, _ := rm.Submit(p, AppDesc{
-			Name: "prod-app", Queue: "prod",
-			Runner: simpleAM(4, ResourceSpec{2048, 1}, 30*time.Second, &ranProd),
-		})
-		dev, _ := rm.Submit(p, AppDesc{
-			Name: "dev-app", Queue: "dev",
-			Runner: simpleAM(2, ResourceSpec{2048, 1}, 30*time.Second, &ranDev),
-		})
-		stProd = prod.Wait(p)
-		stDev = dev.Wait(p)
-	})
-	e.Run()
-	e.Close()
-	if stProd != StatusSucceeded || stDev != StatusSucceeded {
-		t.Fatalf("statuses prod=%v dev=%v", stProd, stDev)
-	}
-	if ranProd != 4 || ranDev != 2 {
-		t.Fatalf("ran prod=%d dev=%d, want 4/2", ranProd, ranDev)
-	}
-}
-
-func TestCapacitySchedulerValidation(t *testing.T) {
-	if _, err := NewCapacityScheduler(nil); err == nil {
-		t.Error("empty queue list accepted")
-	}
-	if _, err := NewCapacityScheduler([]QueueSpec{{Name: "a", Capacity: 0.5}}); err == nil {
-		t.Error("capacities summing to 0.5 accepted")
-	}
-	if _, err := NewCapacityScheduler([]QueueSpec{
-		{Name: "a", Capacity: 0.5}, {Name: "a", Capacity: 0.5},
-	}); err == nil {
-		t.Error("duplicate queue accepted")
-	}
-	if _, err := NewCapacityScheduler([]QueueSpec{
-		{Name: "a", Capacity: 1.5}, {Name: "b", Capacity: -0.5},
-	}); err == nil {
-		t.Error("negative capacity accepted")
-	}
-}
-
-func TestReleaseUnusedContainer(t *testing.T) {
-	e := sim.NewEngine()
-	m := testMachine(e, 1)
-	rm := deployRM(t, e, m, fastConfig())
-	e.Spawn("client", func(p *sim.Proc) {
-		app, _ := rm.Submit(p, AppDesc{
-			Name: "overask",
-			Runner: func(pp *sim.Proc, am *AppMaster) {
-				am.Register(pp)
-				am.RequestContainers(pp, ResourceSpec{1024, 1}, 2, nil)
-				c1 := am.NextContainer(pp)
-				c2 := am.NextContainer(pp)
-				am.Launch(pp, c1, func(*sim.Proc, *Container) {})
-				if err := am.ReleaseContainer(pp, c2); err != nil {
-					t.Error(err)
-				}
-				pp.Wait(c1.Done)
-				am.Unregister(pp, StatusSucceeded)
-			},
-		})
-		app.Wait(p)
-	})
-	e.Run()
-	e.Close()
-	if got := rm.Metrics().AllocatedMB; got != 0 {
-		t.Fatalf("allocated = %d after release, want 0", got)
 	}
 }
 

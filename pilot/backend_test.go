@@ -1,6 +1,7 @@
 package pilot_test
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -107,6 +108,84 @@ func TestToyBackendRunsUnits(t *testing.T) {
 	}
 	if !strings.Contains(sandbox, "disk") {
 		t.Fatalf("toy sandbox = %q, want node-local disk", sandbox)
+	}
+}
+
+// errBootFailed is the cause brokenBackend's Bootstrap reports.
+var errBootFailed = errors.New("toy runtime failed to start")
+
+// bootFailure, while a test arms it, is the error every brokenBackend
+// Bootstrap returns. Unarmed, brokenBackend boots like toyBackend, so
+// the conformance sweep over all registered backends still passes it.
+var bootFailure error
+
+// brokenBackend is a toy backend whose Bootstrap can be made to fail.
+type brokenBackend struct{ toyBackend }
+
+func (b *brokenBackend) Name() string { return "toy-broken" }
+
+func (b *brokenBackend) Bootstrap(p *sim.Proc, bc *pilot.BackendContext) (pilot.AgentScheduler, error) {
+	if bootFailure != nil {
+		p.Sleep(bc.Jitter(time.Second))
+		return nil, bootFailure
+	}
+	return b.toyBackend.Bootstrap(p, bc)
+}
+
+// TestBackendBootstrapErrorFailsPilot: a Bootstrap error fails the pilot
+// with the cause in Pilot.Err, tears the backend down, and fails the
+// unit bound to it, instead of crashing the process.
+func TestBackendBootstrapErrorFailsPilot(t *testing.T) {
+	var broken *brokenBackend
+	err := pilot.RegisterBackend("toy-broken", func() pilot.Backend {
+		broken = &brokenBackend{}
+		return broken
+	})
+	if err != nil && !strings.Contains(err.Error(), "already registered") {
+		t.Fatal(err)
+	}
+	bootFailure = errBootFailed
+	t.Cleanup(func() { bootFailure = nil })
+	e := newTestEnv(t, 1)
+	var final pilot.PilotState
+	var pl *pilot.Pilot
+	var units []*pilot.Unit
+	e.run(t, func(p *sim.Proc) {
+		pm := pilot.NewPilotManager(e.session)
+		pl, err = pm.Submit(p, pilot.PilotDescription{
+			Resource: "tm", Nodes: 1, Runtime: time.Hour, Mode: "toy-broken",
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		um := newUM(t, e.session)
+		um.AddPilot(pl)
+		units, err = um.Submit(p, []pilot.ComputeUnitDescription{{
+			Executable: "/bin/toy",
+			Body:       func(*sim.Proc, *pilot.UnitContext) {},
+		}})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		final = pl.Wait(p)
+		um.WaitAll(p, units)
+	})
+	if pl == nil || len(units) != 1 {
+		t.Fatal("pilot or unit never submitted")
+	}
+	if final != pilot.PilotFailed {
+		t.Errorf("pilot ended %v, want FAILED", final)
+	}
+	if !errors.Is(pl.Err, errBootFailed) {
+		t.Errorf("pilot Err = %v, want it to wrap %v", pl.Err, errBootFailed)
+	}
+	if broken == nil || !broken.tornDown {
+		t.Error("failed backend was not torn down")
+	}
+	if units[0].State() != pilot.UnitFailed || !errors.Is(units[0].Err, pilot.ErrNoLivePilot) {
+		t.Errorf("bound unit ended %v (%v), want FAILED with ErrNoLivePilot", units[0].State(), units[0].Err)
 	}
 }
 

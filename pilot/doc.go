@@ -246,7 +246,9 @@
 // analogues are ErrUnknownDataBackend, ErrNoDataPilots,
 // ErrDataUnavailable and ErrDataStoreFull, and the UnitGraph analogues
 // ErrGraphEmpty, ErrGraphDuplicateUnit, ErrGraphDuplicateOutput,
-// ErrGraphUnknownInput, ErrGraphCycle and ErrGraphSubmitted.
+// ErrGraphUnknownInput, ErrGraphCycle and ErrGraphSubmitted. A
+// backend whose Bootstrap fails moves its pilot to PilotFailed with the
+// cause wrapped in Pilot.Err.
 //
 // # Quickstart
 //
