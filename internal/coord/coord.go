@@ -31,8 +31,8 @@ func NewStore(e *sim.Engine, rtt sim.Duration) *Store {
 	}
 }
 
-// Update writes doc under (collection, id), paying one round trip.
-func (s *Store) Update(p *sim.Proc, collection, id string, doc any) {
+// Update pays the round trip of a state write (the agent heartbeat).
+func (s *Store) Update(p *sim.Proc) {
 	p.Sleep(s.rtt)
 }
 

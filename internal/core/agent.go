@@ -51,19 +51,19 @@ func (pl *Pilot) runAgent(p *sim.Proc, alloc *hpc.Allocation) {
 	}
 	pl.agent = a
 	pl.AgentStartTime = p.Now()
-	pl.advance(PilotAgentStarting)
+	sim.Advance(&pl.Lifecycle, PilotAgentStarting)
 	defer a.teardown()
 	intr := sim.OnInterrupt(func() {
 		a.bootstrap(p)
 		sched, err := a.backend.Bootstrap(p, a.bc)
 		if err != nil {
-			pl.Err = fmt.Errorf("core: agent %s: %s backend bootstrap: %w", pl.ID, a.backend.Name(), err)
-			pl.advance(PilotFailed)
+			sim.Fail(&pl.Lifecycle, PilotFailed,
+				fmt.Errorf("core: agent %s: %s backend bootstrap: %w", pl.ID, a.backend.Name(), err))
 			return
 		}
 		a.sched = sched
 		a.startComponents(p)
-		pl.advance(PilotActive)
+		sim.Advance(&pl.Lifecycle, PilotActive)
 		a.mainLoop(p)
 	})
 	_ = intr // cancellation and walltime both land here; teardown runs next
@@ -88,7 +88,7 @@ func (a *agent) startComponents(p *sim.Proc) {
 	pl := a.pilot
 	a.session.eng.SpawnDaemon("agent:hb:"+pl.ID, func(hp *sim.Proc) {
 		for !a.draining && !pl.State().Final() {
-			store.Update(hp, "pilots", pl.ID, pl.State().String())
+			store.Update(hp)
 			hp.Sleep(10e9) // 10s heartbeat
 		}
 	})
@@ -111,14 +111,14 @@ func (a *agent) mainLoop(p *sim.Proc) {
 			// state; executing it here would double-run it.
 			continue
 		}
-		u.advance(UnitSchedulingAgent)
+		sim.Advance(&u.Lifecycle, UnitSchedulingAgent)
 		proc := a.session.eng.Spawn("exec:"+u.ID, func(up *sim.Proc) {
 			defer delete(a.unitProcs, u)
 			if intr := sim.OnInterrupt(func() { a.unitPipeline(up, u) }); intr != nil {
 				if errors.Is(reasonErr(intr.Reason), errAgentShutdown) {
-					u.cancel()
+					sim.Advance(&u.Lifecycle, UnitCanceled)
 				} else {
-					u.fail(reasonErr(intr.Reason))
+					sim.Fail(&u.Lifecycle, UnitFailed, reasonErr(intr.Reason))
 				}
 			}
 		})
@@ -140,19 +140,19 @@ func (a *agent) unitPipeline(p *sim.Proc, u *Unit) {
 	// whose input is still being produced parks here without a slot, so
 	// it cannot starve the producer's own slot acquisition.
 	if err := a.awaitInputs(p, u); err != nil {
-		u.fail(err)
+		sim.Fail(&u.Lifecycle, UnitFailed, err)
 		return
 	}
 	sl, err := a.sched.Acquire(p, u)
 	if err != nil {
-		u.fail(err)
+		sim.Fail(&u.Lifecycle, UnitFailed, err)
 		return
 	}
 	defer a.sched.Release(sl)
 
-	u.advance(UnitStagingInput)
+	sim.Advance(&u.Lifecycle, UnitStagingInput)
 	if err := a.stageInputs(p, u, sl); err != nil {
-		u.fail(err)
+		sim.Fail(&u.Lifecycle, UnitFailed, err)
 		return
 	}
 	if in := u.Desc.InputStagingBytes; in > 0 {
@@ -160,18 +160,18 @@ func (a *agent) unitPipeline(p *sim.Proc, u *Unit) {
 		a.bc.Machine.Lustre.Read(p, in)
 	}
 	if err := a.backend.LaunchUnit(p, a.bc, u, sl); err != nil {
-		u.fail(err)
+		sim.Fail(&u.Lifecycle, UnitFailed, err)
 		return
 	}
-	u.advance(UnitStagingOutput)
+	sim.Advance(&u.Lifecycle, UnitStagingOutput)
 	if err := stageDeclaredOutputs(p, u); err != nil {
-		u.fail(err)
+		sim.Fail(&u.Lifecycle, UnitFailed, err)
 		return
 	}
 	if out := u.Desc.OutputStagingBytes; out > 0 {
 		a.bc.Machine.Lustre.Write(p, out)
 	}
-	u.advance(UnitDone)
+	sim.Advance(&u.Lifecycle, UnitDone)
 }
 
 // stageReader picks the node the unit's staging reads land on: the
@@ -280,7 +280,7 @@ func (a *agent) teardown() {
 	// cancelled.
 	a.pilot.releaseChunks()
 	a.backend.Teardown(a.bc)
-	if a.pilot.state == PilotActive {
+	if a.pilot.State() == PilotActive {
 		// The job payload returning normally (walltime drain) moves the
 		// pilot to Done via the PilotManager watcher.
 		a.session.eng.Tracef("agent %s teardown complete", a.pilot.ID)

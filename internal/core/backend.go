@@ -79,7 +79,7 @@ func (bc *BackendContext) Draining() bool {
 // node with the given sandbox volume. Every backend's LaunchUnit funnels
 // through here so UnitExecuting is timestamped uniformly.
 func (bc *BackendContext) RunUnitBody(p *sim.Proc, u *Unit, node *cluster.Node, sandbox storage.Volume) {
-	u.advance(UnitExecuting)
+	sim.Advance(&u.Lifecycle, UnitExecuting)
 	if u.Desc.Body == nil {
 		return
 	}

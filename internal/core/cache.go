@@ -96,7 +96,7 @@ func (um *UnitManager) acquireCached(p *sim.Proc, u *Unit) bool {
 		return true
 	case cache.Coalesced:
 		um.recordCache(u, "coalesce", key)
-		u.advance(UnitPendingResult)
+		sim.Advance(&u.Lifecycle, UnitPendingResult)
 		return true
 	default: // cache.Leader
 		um.rcKeys[u] = key
@@ -124,12 +124,12 @@ func (um *UnitManager) completeFromCache(p *sim.Proc, u *Unit) {
 	if u.State().Final() {
 		return
 	}
-	u.advance(UnitSchedulingUM)
+	sim.Advance(&u.Lifecycle, UnitSchedulingUM)
 	if err := stageDeclaredOutputs(p, u); err != nil {
-		u.fail(err)
+		sim.Fail(&u.Lifecycle, UnitFailed, err)
 		return
 	}
-	u.advance(UnitDone)
+	sim.Advance(&u.Lifecycle, UnitDone)
 }
 
 // settleFlight runs from the unit's final-state hook: if the unit led a
@@ -196,14 +196,14 @@ func (um *UnitManager) requeueWaiter(u *Unit) {
 	unresolved, err := um.watchInputs(u)
 	switch {
 	case err != nil:
-		u.fail(err)
+		sim.Fail(&u.Lifecycle, UnitFailed, err)
 	case unresolved > 0:
 		um.held[u] = unresolved
 		um.setAcct(u, acctHeld, nil)
 		um.recordHold(u, unresolved)
-		u.advance(UnitPendingInput)
+		sim.Advance(&u.Lifecycle, UnitPendingInput)
 	default:
-		u.advance(UnitSchedulingUM)
+		sim.Advance(&u.Lifecycle, UnitSchedulingUM)
 		um.enqueueUnit(u, false)
 		um.kick()
 	}

@@ -9,6 +9,6 @@ type PilotCallback func(pl *Pilot, state PilotState)
 // UnitCallback observes a Compute-Unit entering a state.
 type UnitCallback func(u *Unit, state UnitState)
 
-// The state-event fabric beneath pilots and units lives in
-// sim.Notifier; the data subsystem's Data-Units run on the same fabric
-// (see internal/data).
+// Values of both types pass to OnStateChange, which pilots and units get
+// from the sim.Lifecycle they embed; the data subsystem's Data-Units
+// embed the same lifecycle (see internal/data).

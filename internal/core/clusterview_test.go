@@ -92,7 +92,7 @@ func TestClusterViewCountsAndDataBytes(t *testing.T) {
 		plA.WaitState(p, PilotActive)
 		plB.WaitState(p, PilotActive)
 		for _, u := range units {
-			u.watch.AwaitMin(p, u.State(), UnitExecuting)
+			u.WaitState(p, UnitExecuting)
 		}
 		v = um.ClusterView()
 		if v.RunningUnits != 2 || v.RunningCores != 3 || v.WaitingUnits != 0 {
@@ -183,19 +183,17 @@ func BenchmarkClusterView(b *testing.B) {
 			// benchmark isolates view assembly from agent execution.
 			pilots := make([]*Pilot, 4)
 			for i := range pilots {
-				pilots[i] = &Pilot{ID: fmt.Sprintf("bench.%d", i), session: s,
-					watch:      sim.NewNotifier[PilotState](eng),
-					Timestamps: make(map[PilotState]sim.Duration)}
+				pilots[i] = &Pilot{ID: fmt.Sprintf("bench.%d", i), session: s}
+				pilots[i].Lifecycle = sim.NewLifecycle(eng, pilots[i], PilotDone, recordPilotState)
 				if err := um.AddPilot(pilots[i]); err != nil {
 					b.Fatal(err)
 				}
 			}
 			for i := 0; i < inflight; i++ {
 				u := &Unit{ID: fmt.Sprintf("u.%d", i), session: s,
-					Desc:       ComputeUnitDescription{Cores: 2}.withDefaults(),
-					state:      UnitPendingAgent,
-					watch:      sim.NewNotifier[UnitState](eng),
-					Timestamps: make(map[UnitState]sim.Duration)}
+					Desc: ComputeUnitDescription{Cores: 2}.withDefaults()}
+				u.Lifecycle = sim.NewLifecycle(eng, u, UnitDone, recordUnitState)
+				sim.Advance(&u.Lifecycle, UnitPendingAgent)
 				pl := pilots[i%len(pilots)]
 				um.charged[u] = pl
 				pv := um.view.For(pl)

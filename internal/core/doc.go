@@ -32,11 +32,13 @@
 // # State model
 //
 // Pilots and units advance through the RADICAL-Pilot state models
-// (states.go). Every transition flows through the notifier fabric in
-// callbacks.go: subscribers registered with OnStateChange observe each
-// state actually entered, and Wait/WaitState/WaitAll park on the same
-// fabric. States skipped on failure paths fire no callbacks, but the
-// failure's final state wakes every parked waiter.
+// (states.go). Each embeds a sim.Lifecycle, and every transition is a
+// sim.Advance, sim.Fail or (the pilot's Resizing→Active return)
+// sim.Reenter on it: subscribers registered with OnStateChange
+// (callbacks.go) observe each state actually entered, and
+// Wait/WaitState/WaitAll park on the same lifecycle. States skipped on
+// failure paths fire no callbacks, but the failure's final state wakes
+// every parked waiter.
 //
 // The package's timing behaviour is calibrated by a BootstrapProfile so
 // the startup experiments (paper Figure 5) reproduce: agent bootstrap

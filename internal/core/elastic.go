@@ -106,7 +106,7 @@ func (pl *Pilot) Resize(p *sim.Proc, deltaNodes int) error {
 	for pl.resizing {
 		p.Wait(pl.resizeDone)
 	}
-	if pl.state.Final() {
+	if pl.State().Final() {
 		return fmt.Errorf("core: pilot %s: %w", pl.ID, ErrPilotFinal)
 	}
 	eb, ok := pl.backend.(ElasticBackend)
@@ -114,8 +114,8 @@ func (pl *Pilot) Resize(p *sim.Proc, deltaNodes int) error {
 		return fmt.Errorf("core: pilot %s: %w: backend %q implements no Grow/Shrink",
 			pl.ID, ErrNotElastic, pl.backend.Name())
 	}
-	if pl.state != PilotActive {
-		return fmt.Errorf("core: pilot %s is %s; resize requires an active pilot", pl.ID, pl.state)
+	if st := pl.State(); st != PilotActive {
+		return fmt.Errorf("core: pilot %s is %s; resize requires an active pilot", pl.ID, st)
 	}
 	if err := eb.Resizable(pl.agent.bc); err != nil {
 		return fmt.Errorf("core: pilot %s: %w", pl.ID, err)
@@ -138,14 +138,19 @@ func (pl *Pilot) Resize(p *sim.Proc, deltaNodes int) error {
 		pl.resizing = false
 		pl.resizeDone.Trigger()
 	}()
-	pl.enterResizing()
+	// Units keep flowing on the current capacity while Resizing.
+	sim.Advance(&pl.Lifecycle, PilotResizing)
 	var err error
 	if deltaNodes > 0 {
 		err = pl.grow(p, eb, deltaNodes)
 	} else {
 		err = pl.shrink(p, eb, take)
 	}
-	pl.exitResizing()
+	// Re-announcing PilotActive is how the Unit-Manager's bind loop
+	// learns about new capacity without waiting for the next unit event;
+	// the original PilotActive timestamp is kept so AgentStartup stays
+	// meaningful. A pilot that ended mid-resize stays final.
+	sim.Reenter(&pl.Lifecycle, PilotActive)
 	return err
 }
 
@@ -193,13 +198,13 @@ func (pl *Pilot) grow(p *sim.Proc, eb ElasticBackend, n int) error {
 		ready.Trigger()
 	})
 	p.Wait(ready)
-	if alloc == nil || pl.state.Final() {
+	if alloc == nil || pl.State().Final() {
 		// The chunk died in the queue (alloc nil: its job is already
 		// final), or the pilot ended while we waited (teardown has
 		// released the registered chunk). Either way, just let go.
 		pl.dropChunk(ch)
 		release.Trigger()
-		if pl.state.Final() {
+		if pl.State().Final() {
 			return fmt.Errorf("core: pilot %s grow: %w", pl.ID, ErrPilotFinal)
 		}
 		return fmt.Errorf("core: pilot %s grow: chunk job ended %s", pl.ID, job.State())

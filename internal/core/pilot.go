@@ -22,13 +22,10 @@ type Pilot struct {
 	res     *Resource
 	backend Backend
 
-	state PilotState
-	watch *sim.Notifier[PilotState]
-	// Err records the failure cause for PilotFailed when the agent
-	// itself failed (a backend Bootstrap error).
-	Err error
-	// Timestamps records when each state was entered.
-	Timestamps map[PilotState]sim.Duration
+	// Lifecycle holds the pilot's state, per-state Timestamps and, for
+	// PilotFailed when the agent itself failed (a backend Bootstrap
+	// error), the cause in Err.
+	sim.Lifecycle[*Pilot, PilotState]
 
 	// AgentStartTime is when the placeholder job's payload began on the
 	// allocation — the reference point of the paper's "agent startup
@@ -59,45 +56,12 @@ type Pilot struct {
 	dataPilot *data.Pilot
 }
 
-// State returns the pilot state.
-func (pl *Pilot) State() PilotState { return pl.state }
-
 // Resource returns the resource the pilot runs on.
 func (pl *Pilot) Resource() *Resource { return pl.res }
 
 // Backend returns the execution backend instance driving this pilot's
 // agent.
 func (pl *Pilot) Backend() Backend { return pl.backend }
-
-// OnStateChange registers fn to run for every state the pilot actually
-// enters from now on, in registration order, synchronously at the
-// transition's virtual time. States skipped on failure paths are not
-// reported. If the pilot has already left PilotNew, fn is additionally
-// invoked once, immediately, with the current state, so a late
-// subscriber cannot miss a final state.
-func (pl *Pilot) OnStateChange(fn PilotCallback) {
-	pl.watch.Subscribe(func(st PilotState) { fn(pl, st) })
-	if pl.state != PilotNew {
-		fn(pl, pl.state)
-	}
-}
-
-// WaitState blocks p until the pilot reaches the given state (or a final
-// state, to avoid waiting forever on a failed pilot). It reports whether
-// the pilot actually passed through the awaited state.
-func (pl *Pilot) WaitState(p *sim.Proc, st PilotState) bool {
-	// Final states are the largest values, so "st or final" is the
-	// threshold min(st, PilotDone) — an indexed wait, never a scan.
-	pl.watch.AwaitMin(p, pl.state, min(st, PilotDone))
-	_, reached := pl.Timestamps[st]
-	return reached
-}
-
-// Wait blocks until the pilot reaches a final state.
-func (pl *Pilot) Wait(p *sim.Proc) PilotState {
-	pl.watch.AwaitMin(p, pl.state, PilotDone)
-	return pl.state
-}
 
 // AgentStartup returns the paper's Figure 5 metric: time from agent start
 // to readiness for the first Compute-Unit. Valid once PilotActive.
@@ -114,69 +78,27 @@ func (pl *Pilot) QueueWait() sim.Duration {
 	return pl.sagaJob.QueueWait()
 }
 
-// advance moves the pilot into st, recording the timestamp, firing
-// callbacks and waking waiters. States may be skipped on failure paths;
-// skipped states fire no callbacks, and waiters parked on them are woken
-// by the final state (observing via Timestamps that the awaited state
-// never actually occurred).
-func (pl *Pilot) advance(st PilotState) {
-	if pl.state.Final() || st <= pl.state {
-		return
-	}
-	pl.state = st
-	pl.Timestamps[st] = pl.session.eng.Now()
-	pl.recordState(st)
-	pl.watch.Entered(st)
-}
-
-// recordState emits the pilot's state transition (with its current node
-// capacity) to the session's flight recorder, when one is attached.
-func (pl *Pilot) recordState(st PilotState) {
+// recordPilotState emits the pilot's state transition (with its current
+// node capacity) to the session's flight recorder, when one is attached.
+// A failure's cause is in Pilot.Err, not in the event.
+func recordPilotState(pl *Pilot, st PilotState, _ string) {
 	if r := pl.session.rec; r != nil {
 		r.Record(obs.Event{Kind: obs.KindPilotState, Pilot: pl.ID,
 			State: st.String(), Nodes: pl.Capacity()})
 	}
 }
 
-// enterResizing moves an Active pilot into the transient Resizing state
-// for the duration of a Resize. Units keep flowing on the current
-// capacity throughout.
-func (pl *Pilot) enterResizing() {
-	if pl.state != PilotActive {
-		return
-	}
-	pl.state = PilotResizing
-	pl.Timestamps[PilotResizing] = pl.session.eng.Now()
-	pl.recordState(PilotResizing)
-	pl.watch.Entered(PilotResizing)
-}
-
-// exitResizing returns the pilot to Active once the resize completes.
-// PilotActive is re-announced to subscribers — that transition is how
-// the Unit-Manager's bind loop learns about new capacity without
-// waiting for the next unit event. The original PilotActive timestamp
-// is preserved so AgentStartup stays meaningful. No-op when the pilot
-// reached a final state mid-resize.
-func (pl *Pilot) exitResizing() {
-	if pl.state != PilotResizing {
-		return
-	}
-	pl.state = PilotActive
-	pl.recordState(PilotActive)
-	pl.watch.Entered(PilotActive)
-}
-
 // Cancel terminates the pilot: the placeholder job is cancelled and the
 // agent (with any Hadoop/Spark cluster it spawned) shuts down.
 func (pl *Pilot) Cancel() {
-	if pl.state.Final() {
+	if pl.State().Final() {
 		return
 	}
 	if pl.sagaJob != nil {
 		pl.sagaJob.Cancel()
 	}
 	pl.releaseChunks()
-	pl.advance(PilotCanceled)
+	sim.Advance(&pl.Lifecycle, PilotCanceled)
 }
 
 // YARNMetrics exposes the connected YARN cluster's metrics, or nil when
@@ -267,21 +189,19 @@ func (pm *PilotManager) Submit(p *sim.Proc, desc PilotDescription) (*Pilot, erro
 	}
 	pm.session.nextPilot++
 	pl := &Pilot{
-		ID:         fmt.Sprintf("pilot.%04d", pm.session.nextPilot),
-		Desc:       desc,
-		session:    pm.session,
-		res:        res,
-		backend:    backend,
-		watch:      sim.NewNotifier[PilotState](pm.session.eng),
-		Timestamps: make(map[PilotState]sim.Duration),
+		ID:      fmt.Sprintf("pilot.%04d", pm.session.nextPilot),
+		Desc:    desc,
+		session: pm.session,
+		res:     res,
+		backend: backend,
 	}
+	pl.Lifecycle = sim.NewLifecycle(pm.session.eng, pl, PilotDone, recordPilotState)
 	pl.queueName = "units:" + pl.ID
-	pl.Timestamps[PilotNew] = pm.session.eng.Now()
-	pl.advance(PilotLaunching)
+	sim.Advance(&pl.Lifecycle, PilotLaunching)
 
 	js, err := saga.NewJobService(res.EffectiveURL(), res.Batch)
 	if err != nil {
-		pl.advance(PilotFailed)
+		sim.Advance(&pl.Lifecycle, PilotFailed)
 		return nil, fmt.Errorf("core: pilot %s: %w", pl.ID, err)
 	}
 	job, err := js.Submit(p, saga.JobDescription{
@@ -294,24 +214,21 @@ func (pm *PilotManager) Submit(p *sim.Proc, desc PilotDescription) (*Pilot, erro
 		},
 	})
 	if err != nil {
-		pl.advance(PilotFailed)
+		sim.Advance(&pl.Lifecycle, PilotFailed)
 		return nil, fmt.Errorf("core: pilot %s: %w", pl.ID, err)
 	}
 	pl.sagaJob = job
-	pl.advance(PilotPending)
+	sim.Advance(&pl.Lifecycle, PilotPending)
 	// Track the job into final states in the background.
 	pm.session.eng.SpawnDaemon("pmgr:watch:"+pl.ID, func(wp *sim.Proc) {
 		st := job.Wait(wp)
-		if pl.state.Final() {
-			return
-		}
 		switch st {
 		case saga.Done:
-			pl.advance(PilotDone)
+			sim.Advance(&pl.Lifecycle, PilotDone)
 		case saga.Canceled:
-			pl.advance(PilotCanceled)
+			sim.Advance(&pl.Lifecycle, PilotCanceled)
 		default:
-			pl.advance(PilotFailed)
+			sim.Advance(&pl.Lifecycle, PilotFailed)
 		}
 	})
 	return pl, nil

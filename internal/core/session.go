@@ -9,7 +9,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/hdfs"
 	"repro/internal/hpc"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/saga"
 	"repro/internal/sim"
@@ -143,8 +142,6 @@ type Session struct {
 	resources map[string]*Resource
 	seed      int64
 	rec       *obs.Recorder
-	reg       *metrics.Registry
-	msrv      *obs.MetricsServer
 	nextPilot int
 	nextUnit  int
 	nextUM    int
@@ -174,22 +171,6 @@ func (s *Session) AttachRecorder(r *obs.Recorder) { s.rec = r }
 
 // Recorder returns the attached flight recorder (nil when none).
 func (s *Session) Recorder() *obs.Recorder { return s.rec }
-
-// AttachMetrics associates a metrics registry (and optionally the
-// exposition server publishing it) with the session so callers holding
-// only the session can reach the telemetry plane. The registry is
-// populated by an obs.Bridge hooked into the session's recorder — this
-// method only records the association.
-func (s *Session) AttachMetrics(reg *metrics.Registry, srv *obs.MetricsServer) {
-	s.reg = reg
-	s.msrv = srv
-}
-
-// Metrics returns the attached metrics registry (nil when none).
-func (s *Session) Metrics() *metrics.Registry { return s.reg }
-
-// MetricsServer returns the attached exposition server (nil when none).
-func (s *Session) MetricsServer() *obs.MetricsServer { return s.msrv }
 
 // FileTransfer returns the session's SAGA transfer facade — the path
 // Compute-Unit and Data-Unit staging runs over.

@@ -15,7 +15,7 @@ const (
 	SchedulerRoundRobin = "round-robin"
 	// SchedulerLeastLoaded binds eagerly to the live pilot with the
 	// fewest in-flight units (units bound but not yet final), tracked
-	// through the state-callback fabric.
+	// through unit state callbacks.
 	SchedulerLeastLoaded = "least-loaded"
 	// SchedulerBackfill late-binds: units park in the manager's queue and
 	// bind only to Active pilots with free core capacity, consulting the

@@ -17,16 +17,14 @@ type Unit struct {
 	Desc    ComputeUnitDescription
 	session *Session
 
-	state      UnitState
-	watch      *sim.Notifier[UnitState]
-	Timestamps map[UnitState]sim.Duration
+	// Lifecycle holds the unit's state, per-state Timestamps and, for
+	// UnitFailed, the cause in Err.
+	sim.Lifecycle[*Unit, UnitState]
 
 	// Pilot is the pilot the Unit-Manager bound this unit to. It is nil
 	// before the first binding and between a pilot's death and the
 	// failover rebinding.
 	Pilot *Pilot
-	// Err records the failure cause for UnitFailed.
-	Err error
 
 	// acct is the ClusterView bucket the unit currently occupies and
 	// acctPilot the pilot that bucket is attributed to (bound units
@@ -55,31 +53,6 @@ const (
 	acctRunning
 )
 
-// State returns the unit state.
-func (u *Unit) State() UnitState { return u.state }
-
-// OnStateChange registers fn to run for every state the unit actually
-// enters from now on, in registration order, synchronously at the
-// transition's virtual time. States skipped on failure paths (a unit
-// failing in scheduling never reports UnitExecuting) are not reported.
-// If the unit has already left UnitNew, fn is additionally invoked once,
-// immediately, with the current state, so a late subscriber cannot miss
-// a final state.
-func (u *Unit) OnStateChange(fn UnitCallback) {
-	u.watch.Subscribe(func(st UnitState) { fn(u, st) })
-	if u.state != UnitNew {
-		fn(u, u.state)
-	}
-}
-
-// Wait blocks p until the unit reaches a final state. Final states are
-// the largest UnitState values, so this is a threshold wait — indexed,
-// not scanned, no matter how many units park here.
-func (u *Unit) Wait(p *sim.Proc) UnitState {
-	u.watch.AwaitMin(p, u.state, UnitDone)
-	return u.state
-}
-
 // StartupTime is the paper's Figure 5 inset metric: submission to
 // executable start. Valid once the unit has reached UnitExecuting.
 func (u *Unit) StartupTime() sim.Duration {
@@ -88,32 +61,16 @@ func (u *Unit) StartupTime() sim.Duration {
 
 // TimeToCompletion is submission to final state.
 func (u *Unit) TimeToCompletion() sim.Duration {
-	for _, st := range []UnitState{UnitDone, UnitCanceled, UnitFailed} {
-		if ts, ok := u.Timestamps[st]; ok {
-			return ts - u.Timestamps[UnitSchedulingUM]
-		}
+	if st := u.State(); st.Final() {
+		return u.Timestamps[st] - u.Timestamps[UnitSchedulingUM]
 	}
 	return 0
 }
 
-// advance moves the unit into st (skipping forward is allowed on failure
-// paths; moving backwards or past a final state is not). Only the
-// reached state gets a timestamp and fires callbacks; waiters parked on
-// skipped states are woken by the reached state.
-func (u *Unit) advance(st UnitState) {
-	if u.state.Final() || st <= u.state {
-		return
-	}
-	u.state = st
-	u.Timestamps[st] = u.session.eng.Now()
-	u.recordState(st, "")
-	u.watch.Entered(st)
-}
-
-// recordState emits the unit's state transition to the session's flight
-// recorder, when one is attached; the nil check is the only cost paid
-// without one.
-func (u *Unit) recordState(st UnitState, detail string) {
+// recordUnitState emits the unit's state transition to the session's
+// flight recorder, when one is attached; the nil check is the only cost
+// paid without one.
+func recordUnitState(u *Unit, st UnitState, detail string) {
 	r := u.session.rec
 	if r == nil {
 		return
@@ -126,31 +83,6 @@ func (u *Unit) recordState(st UnitState, detail string) {
 		ev.Pilot = u.Pilot.ID
 	}
 	r.Record(ev)
-}
-
-// fail moves the unit to UnitFailed with a cause, waking every parked
-// waiter; callbacks fire for UnitFailed only, never for the skipped
-// intermediate states.
-func (u *Unit) fail(err error) {
-	if u.state.Final() {
-		return
-	}
-	u.Err = err
-	u.state = UnitFailed
-	u.Timestamps[UnitFailed] = u.session.eng.Now()
-	u.recordState(UnitFailed, err.Error())
-	u.watch.Entered(UnitFailed)
-}
-
-// cancel moves the unit to UnitCanceled, waking every parked waiter.
-func (u *Unit) cancel() {
-	if u.state.Final() {
-		return
-	}
-	u.state = UnitCanceled
-	u.Timestamps[UnitCanceled] = u.session.eng.Now()
-	u.recordState(UnitCanceled, "")
-	u.watch.Entered(UnitCanceled)
 }
 
 // UnitManager binds Compute-Units to pilots and dispatches them through
@@ -527,12 +459,13 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 	um.offered++
 	pc := &um.cands
 	if len(pc.list) == 0 {
-		u.fail(fmt.Errorf("core: unit %s: %w among %d registered", u.ID, ErrNoLivePilot, len(um.view.Pilots)))
+		sim.Fail(&u.Lifecycle, UnitFailed,
+			fmt.Errorf("core: unit %s: %w among %d registered", u.ID, ErrNoLivePilot, len(um.view.Pilots)))
 		return
 	}
 	pl, err := um.policy.Pick(p, u, pc.list)
 	if err != nil {
-		u.fail(fmt.Errorf("core: unit %s: %w", u.ID, err))
+		sim.Fail(&u.Lifecycle, UnitFailed, fmt.Errorf("core: unit %s: %w", u.ID, err))
 		return
 	}
 	if pl == nil {
@@ -545,8 +478,9 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 		// A (custom) policy returned a pilot outside the candidates it
 		// was offered — foreign, or already final before the pass: fail
 		// the unit rather than corrupt bookkeeping or retry forever.
-		u.fail(fmt.Errorf("core: unit %s: scheduler %q picked pilot %s, which was not offered to it",
-			u.ID, um.policy.Name(), pl.ID))
+		sim.Fail(&u.Lifecycle, UnitFailed,
+			fmt.Errorf("core: unit %s: scheduler %q picked pilot %s, which was not offered to it",
+				u.ID, um.policy.Name(), pl.ID))
 		return
 	}
 	if pl.State().Final() {
@@ -571,7 +505,7 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 	pv.InFlightUnits++
 	pv.InFlightCores += u.Desc.Cores
 	um.setAcct(u, acctBoundWaiting, pl)
-	u.advance(UnitPendingAgent)
+	sim.Advance(&u.Lifecycle, UnitPendingAgent)
 	um.session.store.Push(p, pl.queueName, u)
 }
 
@@ -731,13 +665,11 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 	for _, d := range descs {
 		um.session.nextUnit++
 		u := &Unit{
-			ID:         fmt.Sprintf("unit.%06d", um.session.nextUnit),
-			Desc:       d.withDefaults(),
-			session:    um.session,
-			watch:      sim.NewNotifier[UnitState](um.session.eng),
-			Timestamps: make(map[UnitState]sim.Duration),
+			ID:      fmt.Sprintf("unit.%06d", um.session.nextUnit),
+			Desc:    d.withDefaults(),
+			session: um.session,
 		}
-		u.Timestamps[UnitNew] = um.session.eng.Now()
+		u.Lifecycle = sim.NewLifecycle(um.session.eng, u, UnitDone, recordUnitState)
 		u.OnStateChange(func(u *Unit, st UnitState) {
 			if st == UnitExecuting {
 				um.setAcct(u, acctRunning, u.acctPilot)
@@ -772,7 +704,7 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 			// Failing it here fires the final-state hook above, which
 			// cancels the unit's own still-new outputs — the failure
 			// cascades down a dependency graph at submission time.
-			u.fail(err)
+			sim.Fail(&u.Lifecycle, UnitFailed, err)
 		case unresolved > 0:
 			// Dependency-aware late binding: the unit is not offered to
 			// the policy until every input Data-Unit is replicated. The
@@ -780,9 +712,9 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 			um.held[u] = unresolved
 			um.setAcct(u, acctHeld, nil)
 			um.recordHold(u, unresolved)
-			u.advance(UnitPendingInput)
+			sim.Advance(&u.Lifecycle, UnitPendingInput)
 		default:
-			u.advance(UnitSchedulingUM)
+			sim.Advance(&u.Lifecycle, UnitSchedulingUM)
 			um.enqueueUnit(u, false)
 		}
 		units = append(units, u)
@@ -803,7 +735,7 @@ func unavailableInput(u *Unit, du *data.Unit, st data.UnitState) error {
 // watchInputs inspects the unit's input Data-Units at submission: inputs
 // already replicated need no watch, an input already retired fails the
 // unit (the returned error), and each still-staging input registers a
-// callback on the Data-Unit's state fabric — the unit is released into
+// callback on the Data-Unit's lifecycle — the unit is released into
 // the bind queue when the last one replicates, with no polling anywhere.
 // It returns the number of unresolved inputs the caller must hold the
 // unit for.
@@ -857,7 +789,7 @@ func (um *UnitManager) releaseInput(u *Unit) {
 		r.Record(obs.Event{Kind: obs.KindRelease, Op: "input", Unit: u.ID,
 			Name: u.Desc.Name, Cores: u.Desc.Cores})
 	}
-	u.advance(UnitSchedulingUM)
+	sim.Advance(&u.Lifecycle, UnitSchedulingUM)
 	um.enqueueUnit(u, false)
 	um.kick()
 }
@@ -885,7 +817,7 @@ func (um *UnitManager) failHeld(u *Unit, err error) {
 		r.Record(obs.Event{Kind: obs.KindRelease, Op: "failed", Unit: u.ID,
 			Name: u.Desc.Name, Detail: err.Error()})
 	}
-	u.fail(err)
+	sim.Fail(&u.Lifecycle, UnitFailed, err)
 }
 
 // cancelOrphanOutputs retires the declared output Data-Units of a unit
@@ -901,8 +833,8 @@ func cancelOrphanOutputs(u *Unit) {
 	}
 }
 
-// WaitAll blocks until every unit reaches a final state. It is built on
-// the same state-callback fabric as Wait.
+// WaitAll blocks until every unit reaches a final state, parking on each
+// unit's Wait in turn.
 func (um *UnitManager) WaitAll(p *sim.Proc, units []*Unit) {
 	for _, u := range units {
 		u.Wait(p)

@@ -17,9 +17,9 @@
 //     occupied store, ties broken by registration order; stores whose
 //     capacity the unit would overflow are skipped.
 //
-// Units run on the same sim.Notifier state fabric as pilots and
-// Compute-Units, so OnStateChange, Wait and WaitState compose with the
-// rest of the stack. internal/core consumes this package for typed
+// Units embed the same sim.Lifecycle as pilots and Compute-Units, so
+// OnStateChange, Wait and WaitState compose with the rest of the stack.
+// internal/core consumes this package for typed
 // ComputeUnitDescription.Inputs/Outputs staging and for the
 // data-affinity unit schedulers; applications use it through the public
 // pilot package (DataManager, DataPilot, DataUnit).

@@ -55,7 +55,7 @@ func (dm *Manager) FailPilot(p *sim.Proc, dp *Pilot) error {
 
 	var firstErr error
 	for _, du := range units {
-		if !du.dropPilot(dp) || du.state != StateReplicated {
+		if !du.dropPilot(dp) || du.State() != StateReplicated {
 			continue
 		}
 		if len(du.replicas) == 0 && len(du.cached) > 0 {
@@ -65,8 +65,9 @@ func (dm *Manager) FailPilot(p *sim.Proc, dp *Pilot) error {
 			du.promoteCached()
 		}
 		if len(du.replicas) == 0 {
-			du.fail(fmt.Errorf("data: unit %s: %w: store %s failed holding the last replica",
-				du.ID, ErrUnavailable, dp.store.Name()))
+			sim.Fail(&du.Lifecycle, StateFailed,
+				fmt.Errorf("data: unit %s: %w: store %s failed holding the last replica",
+					du.ID, ErrUnavailable, dp.store.Name()))
 			continue
 		}
 		if err := dm.reReplicate(p, du); err != nil && firstErr == nil {
@@ -130,7 +131,7 @@ func (dm *Manager) CacheReplica(p *sim.Proc, du *Unit, dp *Pilot) bool {
 	if du == nil || du.mgr != dm || dp == nil || dp.mgr != dm {
 		return false
 	}
-	if dp.failed || du.state != StateReplicated {
+	if dp.failed || du.State() != StateReplicated {
 		return false
 	}
 	if dp.store.Has(du.Name()) {

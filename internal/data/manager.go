@@ -134,18 +134,12 @@ func (dm *Manager) Declare(d UnitDescription) (*Unit, error) {
 		return nil, fmt.Errorf("data: name %q already declared by live unit %s", d.Name, holder.ID)
 	}
 	dm.nextUnit++
-	du := &Unit{
-		ID:         fmt.Sprintf("du.%06d", dm.nextUnit),
-		Desc:       d,
-		mgr:        dm,
-		watch:      sim.NewNotifier[UnitState](dm.eng),
-		Timestamps: make(map[UnitState]sim.Duration),
-	}
-	du.Timestamps[StateNew] = dm.eng.Now()
+	du := &Unit{ID: fmt.Sprintf("du.%06d", dm.nextUnit), Desc: d, mgr: dm}
+	du.Lifecycle = sim.NewLifecycle(dm.eng, du, StateDone, recordDataState)
 	dm.names[d.Name] = du
-	du.watch.Subscribe(func(st UnitState) {
-		if st.Final() && dm.names[d.Name] == du {
-			delete(dm.names, d.Name)
+	du.OnStateChange(func(du *Unit, st UnitState) {
+		if st.Final() && du.mgr.names[du.Name()] == du {
+			delete(du.mgr.names, du.Name())
 		}
 	})
 	return du, nil
@@ -177,28 +171,28 @@ func (dm *Manager) Stage(p *sim.Proc, du *Unit) error {
 		return fmt.Errorf("data: unit %s belongs to another manager", du.ID)
 	}
 	switch {
-	case du.state == StateReplicated:
+	case du.State() == StateReplicated:
 		return nil
-	case du.state == StateStagingIn:
+	case du.State() == StateStagingIn:
 		if du.WaitReady(p) {
 			return nil
 		}
-		return fmt.Errorf("data: unit %s: %w: concurrent staging ended %v", du.ID, ErrUnavailable, du.state)
-	case du.state.Final():
-		return fmt.Errorf("data: unit %s: %w: already %v", du.ID, ErrUnavailable, du.state)
+		return fmt.Errorf("data: unit %s: %w: concurrent staging ended %v", du.ID, ErrUnavailable, du.State())
+	case du.State().Final():
+		return fmt.Errorf("data: unit %s: %w: already %v", du.ID, ErrUnavailable, du.State())
 	}
 	targets := dm.placeReplicas(du)
 	if len(targets) == 0 {
 		err := fmt.Errorf("data: unit %s: %w for %d bytes among %d pilots",
 			du.ID, ErrNoPilots, du.Desc.SizeBytes, len(dm.pilots))
-		du.fail(err)
+		sim.Fail(&du.Lifecycle, StateFailed, err)
 		return err
 	}
-	du.advance(StateStagingIn)
+	sim.Advance(&du.Lifecycle, StateStagingIn)
 	first := targets[0]
 	if err := first.store.Ingest(p, du.Name(), du.Desc.SizeBytes, du.Desc.Source); err != nil {
 		err = fmt.Errorf("data: unit %s stage-in to %s: %w", du.ID, first.store.Name(), err)
-		du.fail(err)
+		sim.Fail(&du.Lifecycle, StateFailed, err)
 		return err
 	}
 	if first.failed {
@@ -207,7 +201,7 @@ func (dm *Manager) Stage(p *sim.Proc, du *Unit) error {
 		// recorded as a replica holder.
 		err := fmt.Errorf("data: unit %s stage-in to %s: %w: store failed during staging",
 			du.ID, first.store.Name(), ErrUnavailable)
-		du.fail(err)
+		sim.Fail(&du.Lifecycle, StateFailed, err)
 		return err
 	}
 	du.replicas = append(du.replicas, first)
@@ -225,7 +219,7 @@ func (dm *Manager) Stage(p *sim.Proc, du *Unit) error {
 			// keep counting toward the locality schedulers' byte scores.
 			dm.dropReplicas(p, du)
 			err = fmt.Errorf("data: unit %s replica to %s: %w", du.ID, t.store.Name(), err)
-			du.fail(err)
+			sim.Fail(&du.Lifecycle, StateFailed, err)
 			return err
 		}
 		if t.failed {
@@ -237,7 +231,7 @@ func (dm *Manager) Stage(p *sim.Proc, du *Unit) error {
 			return err
 		}
 	}
-	du.advance(StateReplicated)
+	sim.Advance(&du.Lifecycle, StateReplicated)
 	return nil
 }
 
@@ -255,11 +249,11 @@ func (dm *Manager) dropReplicas(p *sim.Proc, du *Unit) {
 // the unit unavailable instead of silently succeeding on a canceled
 // unit.
 func (dm *Manager) abandonIfCanceled(p *sim.Proc, du *Unit) error {
-	if !du.state.Final() {
+	if !du.State().Final() {
 		return nil
 	}
 	dm.dropReplicas(p, du)
-	return fmt.Errorf("data: unit %s: %w: %v during staging", du.ID, ErrUnavailable, du.state)
+	return fmt.Errorf("data: unit %s: %w: %v during staging", du.ID, ErrUnavailable, du.State())
 }
 
 // copyReplica moves one replica of du from src to dst. When the source
@@ -328,8 +322,8 @@ func (dm *Manager) Remove(p *sim.Proc, du *Unit) error {
 	if du.mgr != dm {
 		return fmt.Errorf("data: unit %s belongs to another manager", du.ID)
 	}
-	if du.state.Final() {
-		return fmt.Errorf("data: unit %s: %w: already %v", du.ID, ErrUnavailable, du.state)
+	if du.State().Final() {
+		return fmt.Errorf("data: unit %s: %w: already %v", du.ID, ErrUnavailable, du.State())
 	}
 	// Replicas are dropped from the list as they are deleted, so a
 	// Remove that fails partway is retryable without re-deleting.
@@ -349,7 +343,7 @@ func (dm *Manager) Remove(p *sim.Proc, du *Unit) error {
 		dp.cached.Remove(du.Name())
 		du.cached = du.cached[1:]
 	}
-	du.advance(StateDone)
+	sim.Advance(&du.Lifecycle, StateDone)
 	return nil
 }
 
@@ -358,11 +352,7 @@ func (dm *Manager) Remove(p *sim.Proc, du *Unit) error {
 // placed, and returns ErrUnavailable. Canceling a Replicated or final
 // unit is a no-op.
 func (dm *Manager) Cancel(du *Unit) {
-	if du.state.Final() || du.state == StateReplicated {
-		return
+	if du.State() != StateReplicated {
+		sim.Advance(&du.Lifecycle, StateCanceled)
 	}
-	du.state = StateCanceled
-	du.Timestamps[StateCanceled] = dm.eng.Now()
-	du.recordState(StateCanceled, "")
-	du.watch.Entered(StateCanceled)
 }

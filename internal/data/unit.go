@@ -55,24 +55,21 @@ type UnitCallback func(du *Unit, state UnitState)
 
 // Unit is a Data-Unit: a logical dataset with managed replicas on data
 // pilots and its own state machine (StateNew → StateStagingIn →
-// StateReplicated → final), running on the same state-callback fabric as
-// pilots and Compute-Units.
+// StateReplicated → final), on the same sim.Lifecycle as pilots and
+// Compute-Units.
 type Unit struct {
 	ID   string
 	Desc UnitDescription
 	mgr  *Manager
 
-	state UnitState
-	watch *sim.Notifier[UnitState]
-	// Timestamps records when each state was entered.
-	Timestamps map[UnitState]sim.Duration
+	// Lifecycle holds the unit's state, per-state Timestamps and, for
+	// StateFailed, the cause in Err.
+	sim.Lifecycle[*Unit, UnitState]
 
 	replicas []*Pilot
 	// cached are the opportunistic stage-in copies (Manager.CacheReplica):
 	// readable like replicas, excluded from the replication target count.
 	cached []*Pilot
-	// Err records the failure cause for StateFailed.
-	Err error
 }
 
 // Name returns the logical object name.
@@ -80,9 +77,6 @@ func (du *Unit) Name() string { return du.Desc.Name }
 
 // SizeBytes returns the dataset size.
 func (du *Unit) SizeBytes() int64 { return du.Desc.SizeBytes }
-
-// State returns the unit state.
-func (du *Unit) State() UnitState { return du.state }
 
 // Manager returns the owning manager.
 func (du *Unit) Manager() *Manager { return du.mgr }
@@ -178,72 +172,20 @@ func (du *Unit) promoteCached() {
 	du.mgr.recordReplica(du, dp, "promote")
 }
 
-// OnStateChange registers fn to run for every state the unit actually
-// enters from now on, in registration order, synchronously at the
-// transition's virtual time. If the unit has already left StateNew, fn
-// is additionally invoked once, immediately, with the current state, so
-// a late subscriber cannot miss a final state.
-func (du *Unit) OnStateChange(fn UnitCallback) {
-	du.watch.Subscribe(func(st UnitState) { fn(du, st) })
-	if du.state != StateNew {
-		fn(du, du.state)
-	}
-}
-
-// Wait blocks p until the unit reaches a final state. Final states are
-// the largest UnitState values, so this is an indexed threshold wait.
-func (du *Unit) Wait(p *sim.Proc) UnitState {
-	du.watch.AwaitMin(p, du.state, StateDone)
-	return du.state
-}
-
-// WaitState blocks p until the unit reaches the given state (or a final
-// state, to avoid waiting forever on failed staging). It reports whether
-// the unit actually passed through the awaited state.
-func (du *Unit) WaitState(p *sim.Proc, st UnitState) bool {
-	du.watch.AwaitMin(p, du.state, min(st, StateDone))
-	_, reached := du.Timestamps[st]
-	return reached
-}
-
 // WaitReady blocks p until the unit is readable — replicated and not yet
 // removed — or has reached a final state, and reports readability.
 // Compute staging waits here so stage-in never reads a half-staged
 // replica.
 func (du *Unit) WaitReady(p *sim.Proc) bool {
-	du.watch.AwaitMin(p, du.state, StateReplicated)
-	return du.state == StateReplicated
+	du.WaitState(p, StateReplicated)
+	return du.State() == StateReplicated
 }
 
-// advance moves the unit into st, recording the timestamp, firing
-// callbacks and waking waiters.
-func (du *Unit) advance(st UnitState) {
-	if du.state.Final() || st <= du.state {
-		return
-	}
-	du.state = st
-	du.Timestamps[st] = du.mgr.eng.Now()
-	du.recordState(st, "")
-	du.watch.Entered(st)
-}
-
-// recordState emits the Data-Unit's state transition to the manager's
-// flight recorder, when one is attached.
-func (du *Unit) recordState(st UnitState, detail string) {
+// recordDataState emits the Data-Unit's state transition to the
+// manager's flight recorder, when one is attached.
+func recordDataState(du *Unit, st UnitState, detail string) {
 	if r := du.mgr.rec; r != nil {
 		r.Record(obs.Event{Kind: obs.KindDataState, Data: du.ID, Name: du.Name(),
 			State: st.String(), Bytes: du.Desc.SizeBytes, Detail: detail})
 	}
-}
-
-// fail moves the unit to StateFailed with a cause.
-func (du *Unit) fail(err error) {
-	if du.state.Final() {
-		return
-	}
-	du.Err = err
-	du.state = StateFailed
-	du.Timestamps[StateFailed] = du.mgr.eng.Now()
-	du.recordState(StateFailed, err.Error())
-	du.watch.Entered(StateFailed)
 }

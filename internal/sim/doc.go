@@ -17,6 +17,13 @@
 // share capacity with Resource and SharedLink (a processor-sharing
 // bandwidth model), and exchange values through Queue.
 //
+// # Lifecycles
+//
+// Lifecycle is the state model pilots, Compute-Units and Data-Units
+// embed: state, timestamps, failure cause, callbacks and waiters.
+// Advance, Fail and Reenter move it; its waiters park in a Notifier,
+// indexed by threshold.
+//
 // # Shutdown
 //
 // Engine.Run returns when the event queue drains. Processes still blocked

@@ -5,22 +5,17 @@ import (
 	"sort"
 )
 
-// Notifier is the state-event fabric beneath stateful entities (pilots,
-// Compute-Units, Data-Units): it fans each entered state out to
-// subscribed callbacks and wakes parked waiters whose threshold the new
-// state reaches. Wait/WaitState-style blocking APIs and reactive
-// OnStateChange callbacks are both built on it; states skipped on
-// failure paths are never reported to subscribers, but a failure's final
-// state does wake waiters parked on the skipped states (state enums
-// order lifecycle states before final ones).
+// Notifier parks processes on "state reached at least X" and releases
+// them when a state that high is entered. It is the waiter half of
+// Lifecycle, which fires its callbacks first and then reports the state
+// here; a failure's final state wakes waiters parked on the states it
+// skipped (state enums order lifecycle states before final ones).
 //
-// Waiters (AwaitMin) park on "state reached at least X" and are indexed
-// in a min-heap keyed by threshold, so an entered state releases exactly
-// the satisfied ones in O(k log n) — entering a state never scans
-// waiters it cannot release.
+// Waiters (AwaitMin) are indexed in a min-heap keyed by threshold, so an
+// entered state releases exactly the satisfied ones in O(k log n) —
+// entering a state never scans waiters it cannot release.
 type Notifier[S cmp.Ordered] struct {
 	eng *Engine
-	cbs []func(S)
 	// seq orders waiter registration, so releases fire in registration
 	// order exactly as a single scanned list would.
 	seq uint64
@@ -45,26 +40,11 @@ func NewNotifier[S cmp.Ordered](eng *Engine) *Notifier[S] {
 	return &Notifier[S]{eng: eng}
 }
 
-// Subscribe registers fn for every subsequently entered state.
-func (n *Notifier[S]) Subscribe(fn func(S)) {
-	n.cbs = append(n.cbs, fn)
-}
-
-// Entered reports a state that was actually entered: subscribers fire in
-// registration order, then waiters are woken. Entered may be called
-// re-entrantly from a subscriber callback; the nested entry's waiter
-// releases complete before the outer state's.
+// Entered reports a state that was actually entered and releases every
+// waiter whose threshold it reaches, in registration order. Nested
+// entries (a trigger side effect entering another state) queue behind
+// the in-flight one, so the heap is never mutated mid-release.
 func (n *Notifier[S]) Entered(st S) {
-	for _, fn := range n.cbs {
-		fn(st)
-	}
-	n.wake(st)
-}
-
-// wake releases every waiter whose threshold st reaches. Nested wakes
-// (a trigger side effect entering another state) queue behind the
-// in-flight one, so the heap is never mutated mid-release.
-func (n *Notifier[S]) wake(st S) {
 	if len(n.th) == 0 && len(n.pendingWakes) == 0 {
 		return
 	}

@@ -63,47 +63,6 @@ func TestNotifierWakeOrdering(t *testing.T) {
 	}
 }
 
-// TestNotifierReentrantEntered: a subscriber callback entering a further
-// state (the pilot Resizing→Active re-announce shape) must complete the
-// nested wake without corrupting the in-flight one — every state's waiters
-// release, in registration order. w4 registers first, so the heap's pop
-// order [w2 w3 w4] differs from the registration order checked below.
-func TestNotifierReentrantEntered(t *testing.T) {
-	e := NewEngine()
-	n := NewNotifier[int](e)
-	var order []string
-	e.Spawn("w4", func(p *Proc) {
-		n.AwaitMin(p, 0, 4)
-		order = append(order, "w4")
-	})
-	e.Spawn("w2", func(p *Proc) {
-		n.AwaitMin(p, 0, 2)
-		order = append(order, "w2")
-	})
-	e.Spawn("w3", func(p *Proc) {
-		n.AwaitMin(p, 0, 3)
-		order = append(order, "w3")
-	})
-	entered := []int{}
-	n.Subscribe(func(s int) {
-		entered = append(entered, s)
-		if s == 2 {
-			n.Entered(3) // re-entrant: a callback advancing the state again
-		}
-		if s == 3 {
-			n.Entered(4) // and once more, two levels deep
-		}
-	})
-	e.At(time.Second, func() { n.Entered(2) })
-	e.Run()
-	if fmt.Sprint(entered) != "[2 3 4]" {
-		t.Fatalf("subscriber saw %v, want [2 3 4]", entered)
-	}
-	if fmt.Sprint(order) != "[w4 w2 w3]" {
-		t.Fatalf("wake order = %v, want registration order [w4 w2 w3]", order)
-	}
-}
-
 // TestNotifierManyWaitersOneWake: the WaitAll shape — thousands of procs
 // parked on the same final-state threshold, released by one entered
 // state, every one exactly once.

@@ -32,11 +32,12 @@
 //     surviving pilots; units its agent had already started processing
 //     are canceled with it.
 //
-//   - State callbacks. Pilot.OnStateChange and Unit.OnStateChange
-//     mirror RADICAL-Pilot's register_callback: subscribers observe
-//     every state an entity actually enters. Wait, WaitState and
-//     WaitAll are built on the same fabric, so blocking and reactive
-//     styles compose.
+//   - State callbacks. Pilot.OnStateChange, Unit.OnStateChange and
+//     DataUnit.OnStateChange mirror RADICAL-Pilot's register_callback:
+//     subscribers observe every state an entity actually enters. Pilots,
+//     units and Data-Units share one lifecycle, which also provides
+//     Wait, WaitState, Timestamps and Err, and WaitAll parks on it, so
+//     blocking and reactive styles compose.
 //
 //   - Elasticity. Pilots are no longer fixed-size: Pilot.Resize grows a
 //     running pilot by acquiring extra allocation chunks through the
@@ -61,8 +62,8 @@
 //     Mode II one), DataBackendMem (the Pilot-in-Memory tier), plus
 //     anything added with RegisterDataBackend — and stages DataUnits
 //     onto them through the state machine DataNew → DataStagingIn →
-//     DataReplicated → final (same OnStateChange/Wait/WaitState fabric
-//     as pilots and units). Replica placement is deterministic:
+//     DataReplicated → final (the same lifecycle, with OnStateChange,
+//     Wait and WaitState, as pilots and units). Replica placement is deterministic:
 //     affinity label first, then least-occupied store; replication is
 //     capped at the eligible pilots. Compute references data by type —
 //     ComputeUnitDescription.Inputs/Outputs []DataRef — and the agent
@@ -192,13 +193,12 @@
 // applications, cache ops, and replica traffic in operations and
 // bytes.
 //
-// WithMetricsAddr("127.0.0.1:9090") makes a session serve its
-// registry over HTTP for the lifetime of the process: GET /metrics
-// returns Prometheus text exposition format (0.0.4), GET /debug/pilot
-// the same registry as JSON. The option ensures a recorder exists,
-// bridges it into a fresh registry, and panics if the address cannot
-// be listened on; Session.Metrics and Session.MetricsServer expose
-// the pieces, and ServeMetrics serves any registry standalone. The
+// ServeMetrics("127.0.0.1:9090", reg) serves a registry over HTTP
+// until the returned server is closed: GET /metrics returns Prometheus
+// text exposition format (0.0.4), GET /debug/pilot the same registry
+// as JSON. A listen failure is its returned error. Live telemetry for a
+// session is a recorder (WithRecorder) whose OnRecord feeds
+// NewMetricsBridge(reg).Apply, with reg served by ServeMetrics. The
 // cmd/repro harness wires the same plumbing with -metrics addr
 // (add -linger to keep the endpoint up after the experiments finish),
 // and its "scale" subcommand sweeps a backfill workload across

@@ -14,11 +14,12 @@ import (
 	"repro/pilot"
 )
 
-// TestWithMetricsAddrEndToEnd drives a workload through the public API
-// with a live telemetry endpoint and scrapes it: /metrics must expose
-// per-pilot labeled accounting in Prometheus text, /debug/pilot the
-// same registry as JSON.
-func TestWithMetricsAddrEndToEnd(t *testing.T) {
+// TestServeMetricsEndToEnd drives a workload through the public API
+// with a live telemetry endpoint — a recorder bridged into a registry
+// that ServeMetrics publishes, the wiring of repro -metrics — and
+// scrapes it: /metrics must expose per-pilot labeled accounting in
+// Prometheus text, /debug/pilot the same registry as JSON.
+func TestServeMetricsEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	m := cluster.New(eng, testSpec(2))
 	b := hpc.NewBatch(m, hpc.Config{
@@ -28,16 +29,16 @@ func TestWithMetricsAddrEndToEnd(t *testing.T) {
 		DefaultWallTime: 4 * time.Hour,
 		Seed:            3,
 	})
+	rec := pilot.NewRecorder(eng)
+	reg := pilot.NewMetricsRegistry()
+	rec.OnRecord(pilot.NewMetricsBridge(reg).Apply)
+	srv, err := pilot.ServeMetrics("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	s := pilot.NewSession(eng,
-		pilot.WithProfile(fastProfile()), pilot.WithSeed(42),
-		pilot.WithMetricsAddr("127.0.0.1:0"))
-	if s.Recorder() == nil {
-		t.Fatal("WithMetricsAddr did not ensure a recorder")
-	}
-	if s.Metrics() == nil || s.MetricsServer() == nil {
-		t.Fatal("WithMetricsAddr did not attach registry and server")
-	}
-	defer s.MetricsServer().Close()
+		pilot.WithProfile(fastProfile()), pilot.WithSeed(42), pilot.WithRecorder(rec))
 	if err := s.AddResource(&pilot.Resource{Name: "tm", Machine: m, Batch: b}); err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestWithMetricsAddrEndToEnd(t *testing.T) {
 		pl.Cancel()
 	})
 
-	if got := s.Metrics().Total("pilot_units_done"); got != units {
+	if got := reg.Total("pilot_units_done"); got != units {
 		t.Fatalf("pilot_units_done total = %v; want %d", got, units)
 	}
 
-	base := "http://" + s.MetricsServer().Addr()
+	base := "http://" + srv.Addr()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package pilot
 
 import (
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -11,10 +10,9 @@ import (
 type Option func(*sessionConfig)
 
 type sessionConfig struct {
-	profile     BootstrapProfile
-	seed        int64
-	recorder    *obs.Recorder
-	metricsAddr string
+	profile  BootstrapProfile
+	seed     int64
+	recorder *obs.Recorder
 }
 
 // WithProfile sets the bootstrap cost model (default: DefaultProfile).
@@ -39,22 +37,6 @@ func WithRecorder(r *Recorder) Option {
 	return func(c *sessionConfig) { c.recorder = r }
 }
 
-// WithMetricsAddr starts a live telemetry endpoint for the session:
-// it ensures a flight recorder (creating one when WithRecorder was not
-// given), bridges its event stream into a fresh MetricsRegistry, and
-// serves Prometheus text at http://<addr>/metrics plus the JSON
-// snapshot at /debug/pilot until the server is closed
-// (Session.MetricsServer().Close()). addr is a listen address like
-// ":9090" or "127.0.0.1:0" (port 0 picks a free port; read it back
-// with Session.MetricsServer().Addr()).
-//
-// Listening failures panic: options cannot return errors, and a
-// requested-but-dead telemetry endpoint should not fail silently. Use
-// ServeMetrics directly for an error-returning path.
-func WithMetricsAddr(addr string) Option {
-	return func(c *sessionConfig) { c.metricsAddr = addr }
-}
-
 // NewSession creates a session on the engine with the given options.
 //
 //	session := pilot.NewSession(eng, pilot.WithProfile(prof), pilot.WithSeed(42))
@@ -64,20 +46,8 @@ func NewSession(eng *sim.Engine, opts ...Option) *Session {
 		opt(&cfg)
 	}
 	s := core.NewSession(eng, cfg.profile, cfg.seed)
-	if cfg.metricsAddr != "" && cfg.recorder == nil {
-		cfg.recorder = obs.NewRecorder(eng)
-	}
 	if cfg.recorder != nil {
 		s.AttachRecorder(cfg.recorder)
-	}
-	if cfg.metricsAddr != "" {
-		reg := metrics.NewRegistry()
-		cfg.recorder.OnRecord(obs.NewBridge(reg).Apply)
-		srv, err := obs.ServeMetrics(cfg.metricsAddr, reg)
-		if err != nil {
-			panic("pilot: WithMetricsAddr: " + err.Error())
-		}
-		s.AttachMetrics(reg, srv)
 	}
 	return s
 }
